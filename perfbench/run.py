@@ -32,7 +32,9 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKER = HERE / "worker.py"
 OUT_DIR = ROOT / ".perfbench-out"
-COLD_STARTS = 5
+COLD_STARTS = 3
+# the cold starts split the timed ops into this many batches
+BATCHES = COLD_STARTS + 1
 # a workload run must end within this many seconds
 RUN_BUDGET_S = 170.0
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -149,15 +151,20 @@ def interleaved(runner: Runner, clients: list[ClientProcess],
     """Cold starts alternate with batches of timed ops, so every metric
     samples the host over the whole run rather than one stretch of it.
 
-    The first client runs each batch for seconds / COLD_STARTS; any other
-    client then replays exactly the ops the first one ran in that batch.
+    The measuring phase lasts --seconds, cold starts included: batch k ends
+    at the k-th of BATCHES evenly spaced marks. The first client runs for
+    its share of the time left to the mark; any other client then replays
+    exactly the ops the first one ran in that batch.
     """
     calib_before = clients[0].request("calibrate")["calib_ms"]
     colds = []
-    for _ in range(COLD_STARTS):
-        colds.append(runner.cold(*cold_args))
-        batch = clients[0].request(f"run {runner.seconds / COLD_STARTS} "
-                                   f"{COLD_STARTS}")
+    start = time.monotonic()
+    for k in range(1, BATCHES + 1):
+        if k > 1:
+            colds.append(runner.cold(*cold_args))
+        left = start + runner.seconds * k / BATCHES - time.monotonic()
+        batch = clients[0].request(f"run {max(left, 0.0) / len(clients)} "
+                                   f"{BATCHES}")
         for other in clients[1:]:
             other.request(f"ops {batch['ops']}")
     calib_after = clients[0].request("calibrate")["calib_ms"]

@@ -1,4 +1,8 @@
-"""The four benchmark workloads: seeded inputs, one op each, and its checks.
+"""The two benchmark workloads: seeded inputs, one op each, and its checks.
+
+design-session is one workload. field-export, fd-crosscheck and sar-budget
+are the three steps of the other, mode-signoff; each step keeps its own
+seeded inputs, run and checks.
 
 Module level is stdlib only: a cold start synthesizes its inputs first and
 only then times `import sectordra`, so nothing here may pull in numpy or the
@@ -221,24 +225,26 @@ class FieldExport(Workload):
     """
 
     name = "field-export"
-    min_ops = 8
     NODES = 33
 
     def __init__(self, seed, tmpdir):
         super().__init__(seed, tmpdir)
         self._point = r_sequence(3, f"{self.name}:{seed}")
-        self._first_mode = random.Random(f"{self.name}:{seed}").randrange(18)
+        self._first_mode = random.Random(f"{self.name}:{seed}").randrange(27)
 
     def op_input(self, i: int) -> FieldInput:
         x = self._point(i)
-        # the 18 modes m 1-3, n 1-3, p 0-1 in a fixed cycle with p
-        # alternating: a p = 1 op costs about 15% more (its CSV rows carry
-        # more digits), so every run must hold the same share of them
-        k = (self._first_mode + i) % 18
+        # the modes m 1-3, n 1-3, p 0-1 in a fixed 27-op cycle in which
+        # every third op has p = 1. A p = 1 step costs about 20% more (its
+        # CSV rows carry more digits), so every run must hold the same share
+        # of them. At half and half, the median of the step's time would
+        # fall in the gap between the two cost clusters and jump with each
+        # op; at one in three it falls inside the p = 0 cluster.
+        k = (self._first_mode + i) % 27
         return FieldInput(radius_mm=_lerp(5.0, 20.0, x[0]),
                           height_mm=_lerp(1.0, 10.0, x[1]),
                           eps_r=_lerp(6.0, 40.0, x[2]),
-                          m=1 + k // 2 % 3, n=1 + k // 6, p=k % 2)
+                          m=1 + k // 3 % 3, n=1 + k // 9, p=int(k % 3 == 2))
 
     def run(self, sd, inp: FieldInput, t):
         geom = sd.SectorGeometry.quarter(inp.radius_mm / 1000.0,
@@ -325,7 +331,6 @@ class SarBudget(Workload):
     """
 
     name = "sar-budget"
-    min_ops = 6
     SHAPE = (24, 24, 24)
     VOXEL_M = 2e-3
     DOCUMENTS = 8
@@ -417,12 +422,11 @@ class FDCrosscheck(Workload):
     """
 
     name = "fd-crosscheck"
-    min_ops = 4
     COUNT = 3
     # oracle._solve goes dense up to 4096 unknowns: 40^2 below, 72^2 above.
-    # On a 2-vCPU Xeon VM an op takes 1.1-1.3 s, so a run holds 8-12. The
-    # tolerances sit about 3x above the errors the grids reach (1.03e-3 and
-    # 3.2e-4; the error does not depend on the radius).
+    # On a 2-vCPU Xeon VM the step takes 1.1-1.3 s. The tolerances sit about
+    # 3x above the errors the grids reach (1.03e-3 and 3.2e-4; the error does
+    # not depend on the radius).
     GRIDS = (("dense", 40, 3e-3), ("sparse", 72, 1e-3))
 
     def __init__(self, seed, tmpdir):
@@ -469,5 +473,57 @@ class FDCrosscheck(Workload):
                                    for r in rows)}
 
 
-WORKLOADS = {w.name: w for w in (DesignSession, FieldExport, SarBudget,
-                                 FDCrosscheck)}
+# -------------------------------------------------------------- mode-signoff
+
+class ModeSignoff(Workload):
+    """A designer signs off a mode: field export, FD cross-check, SAR budget.
+
+    One op runs the three steps above in turn, each on its own seeded input,
+    so the fields, oracle and sar layers all work in every op. specfun works
+    only through bessel_j and warm zero-cache lookups; design and cli do not
+    work. One op takes 3.4-4.7 s on a 2-vCPU Xeon VM. Caches: as in each
+    step; FD problems never repeat, because every radius is new.
+    """
+
+    name = "mode-signoff"
+    min_ops = 4
+    STEPS = (FieldExport, FDCrosscheck, SarBudget)
+
+    def __init__(self, seed, tmpdir):
+        super().__init__(seed, tmpdir)
+        self.steps = [step(seed, tmpdir) for step in self.STEPS]
+
+    def prepare(self):
+        for step in self.steps:
+            step.prepare()
+
+    def op_input(self, i: int) -> tuple:
+        return tuple(step.op_input(i) for step in self.steps)
+
+    def run(self, sd, inp: tuple, t):
+        return tuple(step.run(sd, x, t) for step, x in zip(self.steps, inp))
+
+    def check(self, sd, inp, out) -> None:
+        for step, x, o in zip(self.steps, inp, out):
+            step.check(sd, x, o)
+
+    def run_checks(self, sd, oracles) -> list[str]:
+        return [problem for step in self.steps
+                for problem in step.run_checks(sd, oracles)]
+
+    def zero_pairs(self, sd, inp, out):
+        return set().union(*(step.zero_pairs(sd, x, o)
+                             for step, x, o in zip(self.steps, inp, out)))
+
+    def replay(self, sd, inp, out, cold, t):
+        # the field-export step's replay covers the op's new zeros as well
+        self.steps[0].replay(sd, inp[0], out[0], cold, t)
+
+    def stats(self, sd, inp, out):
+        merged = {}
+        for step, x, o in zip(self.steps, inp, out):
+            merged.update(step.stats(sd, x, o))
+        return merged
+
+
+WORKLOADS = {w.name: w for w in (DesignSession, ModeSignoff)}
