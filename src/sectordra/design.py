@@ -6,11 +6,12 @@ azimuthal order is derived from the sector angle are re-derived at every
 step, so sweeping sector_angle moves v along with the geometry instead of
 freezing it at the base value.
 
-solve_radius inverts f(a) = target for the radius by bisection. For fixed
-mode indices every wavenumber component scales as 1/a (k_z only enters
-through p/h and is unaffected, but p is part of the mode, not the swept
-parameter), so f is strictly decreasing in a and the bracket test is
-simply a sign check of f - target at the two ends.
+solve_radius inverts f(a) = target for the radius in closed form. The
+order v, the zero X_vn and k_z = p pi / h do not depend on a, and the
+transverse wavenumber is sqrt(X_vn^2 + v^2) / a, so f is strictly
+decreasing in a and
+
+    a = sqrt(X_vn^2 + v^2) / sqrt(k_t^2 - k_z^2),  k_t = 2 pi f sqrt(eps_r) / c.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from __future__ import annotations
 import enum
 import io
 import csv
+import math
 from dataclasses import dataclass
 
-from .modal import ModeSpec, SectorGeometry, resonant_frequency
+from .modal import C_LIGHT, ModeSpec, SectorGeometry, resonant_frequency, wavenumbers
 
 __all__ = [
     "SweepParameter",
@@ -30,9 +32,6 @@ __all__ = [
     "sweep_csv",
     "solve_radius",
 ]
-
-_REL_TOL = 1e-10
-_MAX_BISECT = 200
 
 
 class SweepParameter(enum.Enum):
@@ -135,22 +134,25 @@ def sweep_csv(rows: list[SweepResult]) -> str:
 def solve_radius(base: SectorGeometry, mode: ModeSpec, target_f_hz: float,
                  a_min: float, a_max: float) -> float:
     """Radius at which the given mode of base (height, angle, eps_r kept)
-    resonates at target_f_hz, found by bisection on [a_min, a_max].
+    resonates at target_f_hz, within [a_min, a_max].
 
-    Raises ValueError when the bracket does not straddle the target or the
-    frequency fails to decrease across it.
+    Raises ValueError when the target is not a positive finite frequency,
+    when the bracket does not straddle the target or the frequency fails to
+    decrease across it, and when the target lies at or below the axial
+    cutoff of the mode.
     """
     if not (0.0 < a_min < a_max):
         raise ValueError(f"need 0 < a_min < a_max, got [{a_min}, {a_max}]")
-    if target_f_hz <= 0.0:
-        raise ValueError(f"target frequency must be positive, got {target_f_hz}")
+    if not (target_f_hz > 0.0 and math.isfinite(target_f_hz)):
+        raise ValueError(
+            f"target frequency must be positive and finite, got {target_f_hz}")
 
-    def f_of(a: float) -> float:
+    def at(a: float) -> tuple[SectorGeometry, ModeSpec]:
         geom = SectorGeometry(a=a, h=base.h, phi0=base.phi0, eps_r=base.eps_r)
-        return resonant_frequency(geom, _mode_at(mode, geom))
+        return geom, _mode_at(mode, geom)
 
-    f_lo = f_of(a_min)   # frequency at the small radius: the high end
-    f_hi = f_of(a_max)
+    f_lo = resonant_frequency(*at(a_min))   # small radius: the high end
+    f_hi = resonant_frequency(*at(a_max))
     if f_lo <= f_hi:
         raise ValueError(
             f"frequency is not decreasing over [{a_min}, {a_max}]: "
@@ -159,14 +161,11 @@ def solve_radius(base: SectorGeometry, mode: ModeSpec, target_f_hz: float,
         raise ValueError(
             f"target {target_f_hz} Hz is outside [{f_hi}, {f_lo}] Hz "
             f"reached on radii [{a_min}, {a_max}]")
-    lo, hi = a_min, a_max
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        f_mid = f_of(mid)
-        if f_mid > target_f_hz:
-            lo = mid      # too small a radius, frequency still high
-        else:
-            hi = mid
-        if hi - lo <= _REL_TOL * hi:
-            break
-    return 0.5 * (lo + hi)
+    # at a = 1 m the transverse wavenumbers are X_vn and v themselves
+    wn = wavenumbers(*at(1.0))
+    k_t = 2.0 * math.pi * target_f_hz * math.sqrt(base.eps_r) / C_LIGHT
+    if k_t <= wn.k_z:
+        raise ValueError(
+            f"target {target_f_hz} Hz is at or below the axial cutoff of the "
+            f"mode (k = {k_t} rad/m, k_z = {wn.k_z} rad/m)")
+    return math.hypot(wn.k_r, wn.k_phi) / math.sqrt(k_t * k_t - wn.k_z * wn.k_z)

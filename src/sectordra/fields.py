@@ -402,7 +402,10 @@ def load_grid_json(doc: str) -> FieldGrid:
     arrays = {}
     for name in _COMPONENT_NAMES:
         comp = data["components"][name]
-        flat = np.array(comp["re"], dtype=float) + 1j * np.array(comp["im"], dtype=float)
+        # filling the parts keeps -0.0; re + 1j * im would turn it into +0.0
+        flat = np.empty(len(comp["re"]), dtype=complex)
+        flat.real = comp["re"]
+        flat.imag = comp["im"]
         arrays[name] = flat.reshape(n_z, n_phi, n_r).transpose(2, 1, 0)
     return FieldGrid(
         geometry=geom,

@@ -25,9 +25,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError
 from .modal import ModeFamily, ModeSpec, SectorGeometry, wavenumbers
@@ -73,6 +70,10 @@ def _assemble(problem: FDProblem) -> scipy.sparse.csc_matrix:
     construction), W the diagonal of polar cell areas, D = sqrt(W); the
     returned B is similar to W^-1 M and explicitly symmetric.
     """
+    # scipy.sparse and scipy.linalg load on first use, so that importing the
+    # package costs only scipy.special
+    import scipy.sparse
+
     n_r, n_phi = problem.n_r, problem.n_phi
     dr = problem.a / n_r
     dphi = problem.phi0 / n_phi
@@ -119,12 +120,16 @@ def _assemble(problem: FDProblem) -> scipy.sparse.csc_matrix:
 
 
 def _smallest_dense(b: scipy.sparse.csc_matrix, count: int) -> tuple[np.ndarray, np.ndarray]:
+    import scipy.linalg
+
     lam, vec = scipy.linalg.eigh(b.toarray(), subset_by_index=[0, count - 1])
     return lam, vec.T
 
 
 def _smallest_deflated(b: scipy.sparse.csc_matrix, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Shift-free inverse-power iteration, deflating converged eigenvectors."""
+    from scipy.sparse.linalg import splu
+
     n = b.shape[0]
     lu = splu(b)
     rng = np.random.default_rng(_SEED)

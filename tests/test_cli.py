@@ -249,6 +249,29 @@ def test_design_bad_bracket(capsys):
     assert code == 1 and "outside" in err
 
 
+def test_design_rejects_nan_target(capsys):
+    code, out, err = run(capsys, "design", "--height-mm", "2.54", "--eps-r",
+                         "12.85", "--mode", TE210, "--target-ghz", "nan",
+                         "--a-min-mm", "6", "--a-max-mm", "24")
+    assert code == 1 and out == ""
+    assert "target frequency must be positive and finite" in err
+
+
+def test_freq_huge_order(capsys):
+    # v = 1e6 is solved; v = 1e9 would need a longer zero scan than allowed
+    code, out, err = run(capsys, "freq", "--radius-mm", "12", "--eps-r",
+                         "12.85", "--mode", "TE:v=1e6,n=1,p=0")
+    assert code == 0 and err == ""
+    v = 1e6
+    x_v1 = v + 1.8557570814 * v ** (1.0 / 3.0) + 1.03315 * v ** (-1.0 / 3.0)
+    f = 299_792_458.0 / (2.0 * math.pi * math.sqrt(12.85)) \
+        * math.hypot(x_v1, v) / 0.012
+    assert float(out.splitlines()[1]) == pytest.approx(f / 1e9, rel=1e-10)
+    code, out, err = run(capsys, "freq", "--radius-mm", "12", "--eps-r",
+                         "12.85", "--mode", "TE:v=1e9,n=1,p=0")
+    assert code == 1 and out == "" and "scan points" in err
+
+
 def test_output_file(capsys, tmp_path):
     path = tmp_path / "out.csv"
     code, out, _ = run(capsys, "freq", *G, "--mode", TE210,

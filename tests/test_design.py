@@ -143,3 +143,18 @@ def test_solve_radius_bracket_errors(table1):
         solve_radius(table1, TE210, 6e9, 0.012, 0.012)
     with pytest.raises(ValueError):
         solve_radius(table1, TE210, -1.0, 0.006, 0.024)
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, 0.0])
+def test_solve_radius_rejects_non_finite_target(table1, target):
+    with pytest.raises(ValueError,
+                       match="target frequency must be positive and finite"):
+        solve_radius(table1, TE210, target, 0.006, 0.024)
+
+
+def test_solve_radius_with_axial_index(table1):
+    # p = 1 adds a radius-independent k_z, which the closed form subtracts
+    mode = ModeSpec.explicit(ModeFamily.TE, 2.0, 2, 1)
+    f = resonant_frequency(table1, mode)
+    a = solve_radius(table1, mode, f, 0.006, 0.024)
+    assert a == pytest.approx(table1.a, rel=1e-13)

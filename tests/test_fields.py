@@ -163,7 +163,8 @@ def test_json_round_trip_bitwise(table1):
     assert np.array_equal(back.phi, grid.phi)
     assert np.array_equal(back.z, grid.z)
     for name in ("E_r", "E_phi", "E_z", "H_r", "H_phi", "H_z"):
-        assert np.array_equal(getattr(back, name), getattr(grid, name))
+        # bytes, not values: -0.0 and +0.0 compare equal but differ in sign
+        assert getattr(back, name).tobytes() == getattr(grid, name).tobytes()
 
 
 def test_export_rejects_unknown_format(table1):

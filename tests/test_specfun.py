@@ -1,7 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+from scipy.special import jn_zeros
 
+import sectordra
 from sectordra import ConvergenceError, bessel_j, bessel_j_prime, bessel_zero
 
 from oracles import bessel_j_series, bessel_zero_bisect
@@ -108,3 +116,61 @@ def test_large_order_zero():
     x1 = bessel_zero(v, 1)
     assert x1 > v  # first zero always sits beyond the order
     assert abs(bessel_j(v, x1)) < 1e-12
+
+
+def test_zero_beyond_first_scan_window():
+    # large order with n > 1, and large index at v = 40: the n-th zero lies
+    # past v + 2 v^(1/3) + pi (n + 1) + 3, where the first window ends
+    for v, n in ((1000, 3), (40, 1000)):
+        ref = float(jn_zeros(v, n)[-1])
+        assert bessel_zero(float(v), n) == pytest.approx(ref, rel=1e-13)
+
+
+def test_high_index_zero_fast_and_on_mcmahon():
+    v, n = 2.0, 100000
+    t0 = time.perf_counter()
+    got = bessel_zero(v, n)
+    assert time.perf_counter() - t0 < 1.0
+    beta = (n + 0.5 * v - 0.25) * math.pi
+    mu = 4.0 * v * v
+    ref = beta - (mu - 1.0) / (8.0 * beta)
+    assert got == pytest.approx(ref, rel=1e-9)
+
+
+def test_large_order_zero_on_olver():
+    # |dx| <= tol cannot hold once x * eps > tol, so the Newton stop is
+    # relative there; Olver's expansion of the first zero (leading
+    # coefficient -a_1 / 2^(1/3), a_1 the first Airy zero) is good to
+    # better than 1e-14 relative at v = 1e6
+    v = 1e6
+    got = bessel_zero(v, 1)
+    ref = (v + 2.338107410459767 / 2.0 ** (1.0 / 3.0) * v ** (1.0 / 3.0)
+           + 1.033150 * v ** (-1.0 / 3.0) - 0.00397 / v)
+    assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_zero_search_is_capped():
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="scan points"):
+        bessel_zero(1e9, 1)
+    with pytest.raises(ValueError, match="scan points"):
+        bessel_zero(1.0, 10**7)
+    with pytest.raises(ValueError, match="scan points"):
+        bessel_zero(1.7e308, 1)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_import_loads_only_scipy_special():
+    # a fresh interpreter: the FD solver's scipy modules load on first use,
+    # and mpmath is a test-only dependency
+    probe = ("import json, sys, sectordra; print(json.dumps(sorted(m for m in "
+             "sys.modules if m.split('.')[0] in ('scipy', 'mpmath'))))")
+    src = str(Path(sectordra.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    loaded = json.loads(result.stdout)
+    assert "scipy.special" in loaded
+    for banned in ("scipy.sparse", "scipy.linalg", "scipy.optimize", "mpmath"):
+        assert not any(m == banned or m.startswith(banned + ".")
+                       for m in loaded), banned
