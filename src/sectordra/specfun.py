@@ -28,8 +28,9 @@ __all__ = ["bessel_j", "bessel_j_prime", "bessel_zero", "ConvergenceError"]
 _STEP = 1.5
 
 # a zero search spans at most this many scan points, which bounds its time
-# and memory (8 MB of abscissae): orders up to about 1.5e7 at n = 1 and
-# indices up to about 500000 at small v
+# (about 4 s at the largest orders on a 2-vCPU Xeon) and memory (8 MB of
+# abscissae): orders up to about 2.3e6 at n = 1 and indices up to about
+# 500000 at small v
 _MAX_SCAN = 1 << 20
 
 
@@ -50,8 +51,10 @@ def bessel_j(v: float, x: float) -> float:
         x: argument, >= 0.
 
     Returns:
-        J_v(x) as a float, accurate to about 1e-13 relative away from zeros
-        of J_v.
+        J_v(x) as a float. Away from zeros of J_v it is within 1e-13
+        relative of mpmath for orders up to 1e4 and arguments up to 3e5
+        (the tested range); Amos loses digits at larger orders (4.4e-13
+        measured at v = 1e5).
 
     Raises:
         ValueError: if v < 0, x < 0, or either argument is not finite.
@@ -85,42 +88,32 @@ def bessel_j_prime(v: float, x: float) -> float:
 def _bracket(v: float, n: int) -> tuple[float, float]:
     """Scan points (lo, hi) on either side of the n-th zero of J_v."""
     # J_v > 0 on (0, X_v1) and X_v1 > v, so start in the positive region
-    start = x = max(0.9 * v, 0.05)
+    start = max(0.9 * v, 0.05)
     top = (n + 0.5 * v - 0.25) * math.pi if v > 0.5 else n * math.pi
-    end = min(v + 2.0 * v ** (1.0 / 3.0) + math.pi * (n + 1) + 3.0, top)
-    seen = 0
-    while True:
-        points = (end - start) / _STEP + 2.0
-        if not points <= _MAX_SCAN:
-            raise ValueError(
-                f"the zero search for v={v}, n={n} needs about {points:.3g} "
-                f"scan points, more than the {_MAX_SCAN} allowed")
-        xs = x + _STEP * np.arange(int((end - x) / _STEP) + 2)
-        neg = jv(v, xs) < 0.0
-        flips = np.flatnonzero(neg[1:] != neg[:-1])
-        if seen + flips.size >= n:
-            i = flips[n - seen - 1]
-            return float(xs[i]), float(xs[i + 1])
-        if end >= top:
-            raise ConvergenceError(f"zero scan failed for v={v}, n={n}")
-        # the first window fell short: double it, up to the proven bound
-        seen += flips.size
-        x, end = float(xs[-1]), min(end + 2.0 * (end - x), top)
+    points = (top - start) / _STEP + 2.0
+    if not points <= _MAX_SCAN:
+        raise ValueError(
+            f"the zero search for v={v}, n={n} needs about {points:.3g} "
+            f"scan points, more than the {_MAX_SCAN} allowed")
+    xs = start + _STEP * np.arange(int((top - start) / _STEP) + 2)
+    neg = jv(v, xs) < 0.0
+    flips = np.flatnonzero(neg[1:] != neg[:-1])
+    if flips.size < n:
+        raise ConvergenceError(f"zero scan failed for v={v}, n={n}")
+    i = flips[n - 1]
+    return float(xs[i]), float(xs[i + 1])
 
 
 def bessel_zero(v: float, n: int, tol: float = 1e-12) -> float:
     """n-th positive zero X_vn of J_v, n = 1, 2, ...
 
     The scan starts just below the first zero, where J_v > 0, and marches
-    in steps of 1.5. It first runs to v + 2 v^(1/3) + pi (n + 1) + 3, which
-    holds the zero for small orders and low indices. When the zero lies
-    further out (large v with n > 1, or large n with v above about 20), the
-    scan goes on in doubling windows, never past a proven bound: zeros of
-    sqrt(x) J_v(x) are spaced more than pi apart for v > 1/2 and approach
-    McMahon's (n + v/2 - 1/4) pi from below, and for v <= 1/2 they lie
-    below X_{1/2,n} = n pi. The n-th bracket is then polished by Newton
-    steps that are rejected whenever they leave the bracket, with bisection
-    as the fallback.
+    in steps of 1.5 up to a proven bound on X_vn: zeros of sqrt(x) J_v(x)
+    are spaced more than pi apart for v > 1/2 and approach McMahon's
+    (n + v/2 - 1/4) pi from below, and for v <= 1/2 they lie below
+    X_{1/2,n} = n pi. The n-th bracket is then polished by Newton steps
+    that are rejected whenever they leave the bracket, with bisection as
+    the fallback.
 
     Args:
         v: order, real and >= 0.
