@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import is_index
 from .modal import (
     MU_0,
     ModeFamily,
@@ -206,7 +207,7 @@ class FieldGrid:
 
 def _validate_counts(mode: ModeSpec, n_r: int, n_phi: int, n_z: int) -> None:
     for name, count in (("n_r", n_r), ("n_phi", n_phi), ("n_z", n_z)):
-        if not float(count).is_integer() or count < 1:
+        if not is_index(count, 1):
             raise ValueError(f"{name} must be a positive integer, got {count}")
     if n_r < 2 or n_phi < 2:
         raise ValueError("need at least 2 nodes along r and phi")
@@ -282,7 +283,7 @@ def boundary_residuals(geom: SectorGeometry, mode: ModeSpec,
     modes satisfy all three analytically; an explicit odd order on a quarter
     sector leaves a face residual, which is reported as is.
     """
-    if not float(resolution).is_integer() or resolution < 8:
+    if not is_index(resolution, 8):
         raise ValueError(f"resolution must be an integer >= 8, got {resolution}")
     wn = wavenumbers(geom, mode)
     omega = 2.0 * math.pi * resonant_frequency(geom, mode)
@@ -318,18 +319,6 @@ def boundary_residuals(geom: SectorGeometry, mode: ModeSpec,
     return BoundaryResiduals(face_e_tangential=face, arc_h_phi=arc, cap_dhz_dz=cap)
 
 
-def _csv_rows(grid: FieldGrid):
-    comps = (grid.E_r, grid.E_phi, grid.E_z, grid.H_r, grid.H_phi, grid.H_z)
-    for iz in range(len(grid.z)):
-        for iphi in range(len(grid.phi)):
-            for ir in range(len(grid.r)):
-                row = [grid.r[ir], grid.phi[iphi], grid.z[iz]]
-                for comp in comps:
-                    value = comp[ir, iphi, iz]
-                    row.extend((value.real, value.imag))
-                yield row
-
-
 def export_grid(grid: FieldGrid, format: str) -> str:
     """Serialize a grid to a CSV or JSON document string.
 
@@ -338,9 +327,18 @@ def export_grid(grid: FieldGrid, format: str) -> str:
     the same order) and round-trips bitwise through `load_grid_json`.
     """
     if format == "csv":
+        comps = (grid.E_r, grid.E_phi, grid.E_z, grid.H_r, grid.H_phi, grid.H_z)
+        r, phi = np.meshgrid(grid.r, grid.phi, indexing="ij")
         lines = [",".join(CSV_COLUMNS)]
-        for row in _csv_rows(grid):
-            lines.append(",".join(repr(float(x)) for x in row))
+        # one z-plane at a time: a whole-grid table, and the Python floats
+        # its tolist() makes, would raise the export's peak memory
+        for iz, z in enumerate(grid.z):
+            columns = [r, phi, np.full_like(r, z)]
+            for comp in comps:
+                columns += [comp[:, :, iz].real, comp[:, :, iz].imag]
+            plane = np.stack(columns, axis=-1).transpose(1, 0, 2)
+            lines.extend(",".join(map(repr, row))
+                         for row in plane.reshape(-1, len(columns)).tolist())
         return "\n".join(lines) + "\n"
     if format == "json":
         order = (2, 1, 0)  # store flat arrays z-major to match the CSV

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import is_index
 from .specfun import bessel_zero
 
 __all__ = [
@@ -66,7 +67,7 @@ def azimuthal_order(m: int, phi0: float) -> float:
         m: non-negative integer azimuthal index.
         phi0: sector angle in radians, > 0.
     """
-    if not float(m).is_integer() or m < 0:
+    if not is_index(m, 0):
         raise ValueError(f"azimuthal index must be a non-negative integer, got {m}")
     if not (phi0 > 0.0 and math.isfinite(phi0)):
         raise ValueError(f"sector angle must be positive and finite, got {phi0}")
@@ -125,11 +126,11 @@ class ModeSpec:
             raise ValueError(f"family must be a ModeFamily, got {self.family!r}")
         if not (self.v >= 0.0 and math.isfinite(self.v)):
             raise ValueError(f"azimuthal order must be >= 0, got {self.v}")
-        if not float(self.n).is_integer() or self.n < 1:
+        if not is_index(self.n, 1):
             raise ValueError(f"radial index must be a positive integer, got {self.n}")
-        if not float(self.p).is_integer() or self.p < 0:
+        if not is_index(self.p, 0):
             raise ValueError(f"axial index must be a non-negative integer, got {self.p}")
-        if self.m is not None and (not float(self.m).is_integer() or self.m < 0):
+        if self.m is not None and not is_index(self.m, 0):
             raise ValueError(f"azimuthal index must be a non-negative integer, got {self.m}")
 
     @property
@@ -217,7 +218,7 @@ def enumerate_modes(geom: SectorGeometry, f_max: float, m_max: int,
         raise ValueError(f"frequency cutoff must be positive, got {f_max}")
     for name, bound, least in (("m_max", m_max, 1), ("n_max", n_max, 1),
                                ("p_max", p_max, 0)):
-        if not float(bound).is_integer() or bound < least:
+        if not is_index(bound, least):
             raise ValueError(f"{name} must be an integer >= {least}, got {bound}")
 
     entries: list[tuple[ModeSpec, float]] = []

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, is_index
 from .modal import ModeFamily, ModeSpec, SectorGeometry, wavenumbers
 
 __all__ = ["FDProblem", "CompareRow", "fd_transverse_eigs", "compare_modes"]
@@ -59,7 +59,7 @@ class FDProblem:
         if not (0.0 < self.phi0 <= 2.0 * math.pi):
             raise ValueError(f"sector angle must lie in (0, 2 pi], got {self.phi0}")
         for name, count in (("n_r", self.n_r), ("n_phi", self.n_phi)):
-            if not float(count).is_integer() or count < 16:
+            if not is_index(count, 16):
                 raise ValueError(f"{name} must be an integer >= 16, got {count}")
 
 
@@ -184,7 +184,7 @@ def fd_transverse_eigs(problem: FDProblem, count: int) -> list[float]:
     Deterministic for fixed inputs; raises ConvergenceError with the
     iteration count if the sparse-path iteration fails to settle.
     """
-    if not float(count).is_integer() or count < 1:
+    if not is_index(count, 1):
         raise ValueError(f"count must be a positive integer, got {count}")
     lam, _ = _solve(problem, int(count))
     return [math.sqrt(x) for x in lam]
@@ -217,7 +217,7 @@ def compare_modes(geom: SectorGeometry, count: int, grid: int) -> list[CompareRo
     the same cross-section. Relative errors are reported against the
     analytic value.
     """
-    if not float(count).is_integer() or count < 1:
+    if not is_index(count, 1):
         raise ValueError(f"count must be a positive integer, got {count}")
     span = count + 4
     candidates = []

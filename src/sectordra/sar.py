@@ -3,9 +3,13 @@
 Local SAR in tissue is sigma |E|^2 / rho. Regulatory limits constrain its
 average over a reference mass (1 g or 10 g), so the mass average is computed
 per voxel by growing a centered cube until it holds the target mass, then
-mass-weighting the point SAR over that cube; the reported value is the peak
-over all centers. With a SAR figure achieved at reference input power P_in,
-the largest input power that still meets a limit L is
+mass-weighting the point SAR over that cube (IEC/IEEE 62704-1 cube
+averaging); the reported value is the peak over all centers. Summed-area
+tables size every cube and bound every average in a few array passes; they
+only prune, and the centers that could hold the peak are summed again with
+the same slice sums as a voxel-by-voxel loop, whose tie rule (lowest index)
+is kept. With a SAR figure achieved at reference input power P_in, the
+largest input power that still meets a limit L is
 
     P_max = P_in * L / SAR_achieved
 
@@ -147,8 +151,14 @@ class TissueGrid:
                 f"{sigma.shape}, {rho.shape}, {e_mag.shape}")
         if not (voxel_m > 0.0 and math.isfinite(voxel_m)):
             raise ValueError(f"voxel edge must be positive, got {voxel_m}")
+        if voxel_m > 1e100:  # the voxel volume, its cube, would overflow
+            raise ValueError(f"voxel edge {voxel_m} m is too large")
         if not (p_in_w > 0.0 and math.isfinite(p_in_w)):
             raise ValueError(f"reference power must be positive, got {p_in_w}")
+        for name, arr in (("conductivity", sigma), ("mass density", rho),
+                          ("field magnitude", e_mag)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite everywhere")
         if np.any(sigma < 0.0):
             raise ValueError("conductivity must be >= 0 everywhere")
         if np.any(rho <= 0.0):
@@ -180,54 +190,132 @@ class AveragedSar:
     center: tuple[int, int, int]
 
 
+def _cube_sums(table: np.ndarray, w: int) -> np.ndarray:
+    """Every center's sum over its cube of half-width w, clipped at the grid.
+
+    table is a zero-padded summed-area table (one more entry per axis than
+    the grid). Differencing one axis at a time keeps every intermediate a
+    non-negative partial box sum, so no step cancels more than the total.
+    """
+    out = table
+    for axis in range(3):
+        i = np.arange(table.shape[axis] - 1)
+        out = (np.take(out, np.minimum(i + w + 1, len(i)), axis)
+               - np.take(out, np.maximum(i - w, 0), axis))
+    return out
+
+
+def _summed_area(values: np.ndarray) -> np.ndarray:
+    table = np.zeros(tuple(n + 1 for n in values.shape))
+    table[1:, 1:, 1:] = values.cumsum(0).cumsum(1).cumsum(2)
+    return table
+
+
+def _cube(center, w: int, shape) -> tuple[slice, slice, slice]:
+    return tuple(slice(max(0, c - w), min(n, c + w + 1))
+                 for c, n in zip(center, shape))
+
+
 def averaged_sar(grid: TissueGrid, mass_target_kg: float) -> AveragedSar:
-    """Peak cube-averaged SAR over all voxel centers.
+    """Peak cube-averaged SAR over all voxel centers (IEC/IEEE 62704-1).
 
     For each center the cube grows one voxel layer at a time (clipped at the
     grid boundary) until it holds at least mass_target_kg, then point SAR is
     averaged over the cube weighted by voxel mass. Ties in the peak are
     broken toward the lowest linear (x-major) index, so the result is fully
     deterministic.
+
+    Summed-area tables (Crow 1984) of voxel mass and mass-weighted SAR give
+    every center's cube mass and average for all centers at once, together
+    with a proven bound on their rounding error. They only prune: a center
+    whose table mass is too close to the target to decide its cube is grown
+    again with exact slice sums, and the peak is taken over the centers whose
+    averages could still be the largest, each recomputed as
+    np.sum(weighted[cube]) / np.sum(mass[cube]). The reported value and its
+    tie rule are therefore those of the exhaustive loop, bit for bit.
     """
     if not (mass_target_kg > 0.0 and math.isfinite(mass_target_kg)):
         raise ValueError(f"mass target must be positive, got {mass_target_kg}")
     voxel_mass = grid.rho * grid.voxel_m ** 3
     total = float(voxel_mass.sum())
+    if not math.isfinite(total):
+        raise ValueError(f"grid mass {total} kg is not finite")
     if total < mass_target_kg:
         raise ValueError(
             f"grid holds {total:.6g} kg, below the averaging mass "
             f"{mass_target_kg:.6g} kg")
-    psar = grid.sigma * grid.e_mag ** 2 / grid.rho
-    weighted = psar * voxel_mass
-    nx, ny, nz = grid.shape
-    w_max = max(nx, ny, nz)
+    with np.errstate(over="ignore"):  # an overflow is rejected just below
+        psar = grid.sigma * grid.e_mag ** 2 / grid.rho
+        weighted = psar * voxel_mass
+    total_w = float(weighted.sum())
+    if not math.isfinite(total_w):
+        raise ValueError(
+            f"mass-weighted SAR sums to {total_w} W, not a finite value")
+    shape = grid.shape
+    nx, ny, nz = shape
+    # All terms are non-negative, so a table entry (at most nx+ny+nz
+    # additions per term) errs by at most gamma_(nx+ny+nz) * total, a cube sum
+    # from eight entries by eight times that plus seven roundings, and
+    # np.sum over any cube, in whatever order numpy adds, by gamma_N * total.
+    # gamma_k is about k * eps / 2; using eps doubles the bound, which covers
+    # the division and the rounding of the bounds themselves.
+    slack = (nx * ny * nz + 8 * (nx + ny + nz) + 64) * np.finfo(float).eps
+    dm, dw = slack * total, slack * total_w
+    mass_t, weighted_t = _summed_area(voxel_mass), _summed_area(weighted)
+
+    width = np.full(shape, -1)
+    cube_m = np.empty(shape)
+    cube_w = np.empty(shape)
+    for w in range(max(shape) + 1):
+        open_ = width < 0
+        if not open_.any():
+            break
+        m = _cube_sums(mass_t, w)
+        reached = open_ & (m - dm >= mass_target_kg)
+        for center in zip(*np.nonzero(open_ & ~reached
+                                      & (m + dm >= mass_target_kg))):
+            # too close to call from the table: decide as the loop does
+            if np.sum(voxel_mass[_cube(center, w, shape)]) >= mass_target_kg:
+                reached[center] = True
+        width[reached] = w
+        cube_m[reached] = m[reached]
+        cube_w[reached] = _cube_sums(weighted_t, w)[reached]
+
+    # a center whose largest possible average is below some center's
+    # smallest possible one cannot hold the peak; the rest are summed exactly
+    m_lo = cube_m - dm
+    hi = np.divide(cube_w + dw, m_lo, out=np.full(shape, np.inf),
+                   where=m_lo > 0.0)
+    lo = (cube_w - dw) / (cube_m + dm)
     best = -math.inf
     best_lin = -1
     best_center = (0, 0, 0)
-    for ix in range(nx):
-        for iy in range(ny):
-            for iz in range(nz):
-                avg = None
-                for w in range(w_max + 1):
-                    xs, xe = max(0, ix - w), min(nx, ix + w + 1)
-                    ys, ye = max(0, iy - w), min(ny, iy + w + 1)
-                    zs, ze = max(0, iz - w), min(nz, iz + w + 1)
-                    m = np.sum(voxel_mass[xs:xe, ys:ye, zs:ze])
-                    if m >= mass_target_kg:
-                        avg = float(np.sum(weighted[xs:xe, ys:ye, zs:ze]) / m)
-                        break
-                if avg > best:
-                    best = avg
-                    best_lin = (ix * ny + iy) * nz + iz
-                    best_center = (ix, iy, iz)
+    for lin in np.flatnonzero(hi >= lo.max()):
+        center = np.unravel_index(lin, shape)
+        cube = _cube(center, int(width[center]), shape)
+        avg = float(np.sum(weighted[cube]) / np.sum(voxel_mass[cube]))
+        if avg > best:
+            best = avg
+            best_lin = int(lin)
+            best_center = tuple(int(c) for c in center)
     return AveragedSar(peak_avg_w_per_kg=best, center_index=best_lin,
                        center=best_center)
+
+
+def _json_object(text: str, what: str) -> dict:
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} nests too deeply") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return data
 
 
 def tissue_grid_from_json(text: str) -> TissueGrid:
     """Parse the JSON tissue file: header keys shape, voxel_m, p_in_w and
     flat sigma/rho/e_mag arrays in x-major order."""
-    data = json.loads(text)
+    data = _json_object(text, "tissue grid document")
     try:
         shape = tuple(int(x) for x in data["shape"])
         voxel = float(data["voxel_m"])
@@ -235,6 +323,8 @@ def tissue_grid_from_json(text: str) -> TissueGrid:
         arrays = {k: np.array(data[k], dtype=float) for k in ("sigma", "rho", "e_mag")}
     except KeyError as exc:
         raise ValueError(f"tissue grid document is missing key {exc}") from None
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"tissue grid document holds a malformed value: {exc}") from None
     if len(shape) != 3:
         raise ValueError(f"shape must have three entries, got {shape}")
     n = shape[0] * shape[1] * shape[2]
@@ -249,13 +339,15 @@ def tissue_grid_from_json(text: str) -> TissueGrid:
 def tissue_grid_from_csv(csv_text: str, sidecar_text: str) -> TissueGrid:
     """Parse the CSV tissue form: rows index,sigma,rho,e_mag in x-major
     order with shape/voxel_m/p_in_w in a JSON sidecar."""
-    meta = json.loads(sidecar_text)
+    meta = _json_object(sidecar_text, "tissue grid sidecar")
     try:
         shape = tuple(int(x) for x in meta["shape"])
         voxel = float(meta["voxel_m"])
         p_in = float(meta["p_in_w"])
     except KeyError as exc:
         raise ValueError(f"tissue grid sidecar is missing key {exc}") from None
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"tissue grid sidecar holds a malformed value: {exc}") from None
     rows = []
     for line_no, line in enumerate(csv_text.splitlines(), start=1):
         line = line.strip()

@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy.special import jv
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, is_index
 
 __all__ = ["bessel_j", "bessel_j_prime", "bessel_zero", "ConvergenceError"]
 
@@ -129,7 +129,7 @@ def bessel_zero(v: float, n: int, tol: float = 1e-12) -> float:
             iteration budget (indicates a bug, not a user error).
     """
     _validate(v, 0.0)
-    if not float(n).is_integer() or n < 1:
+    if not is_index(n, 1):
         raise ValueError(f"zero index must be a positive integer, got {n}")
     lo, hi = _bracket(v, int(n))
     f_lo = jv(v, lo)

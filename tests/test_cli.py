@@ -59,6 +59,10 @@ def test_freq_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "freq", *G, "--mode", "TE:n=1,p=0")
     assert code == 2
+    # an index too large for a float is a usage error, not an OverflowError
+    code, out, err = run(capsys, "freq", *G, "--mode",
+                         "TE:v=2,n=1" + "0" * 400 + ",p=0")
+    assert code == 2 and out == "" and "radial index" in err
 
 
 def test_computation_error_verbatim(capsys):
@@ -193,6 +197,25 @@ def test_sar_usage_and_io_errors(capsys, tmp_path):
     code, _, err = run(capsys, "sar", "--tissue",
                        str(tmp_path / "missing.json"), "--mass", "1g")
     assert code == 1 and "missing.json" in err
+
+
+def test_sar_rejects_bad_tissue(capsys, tmp_path):
+    jpath, cpath, spath = _tissue_files(tmp_path)
+    doc = json.loads(jpath.read_text())
+    doc["e_mag"][5] = float("nan")
+    jpath.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "sar", "--tissue", str(jpath), "--mass", "1g")
+    assert code == 1 and out == ""
+    assert err.strip() == "field magnitude must be finite everywhere"
+    jpath.write_text("[1, 2]")
+    code, out, err = run(capsys, "sar", "--tissue", str(jpath), "--mass", "1g")
+    assert code == 1 and out == ""
+    assert err.strip() == "tissue grid document must be a JSON object"
+    spath.write_text("null")
+    code, out, err = run(capsys, "sar", "--tissue-csv", str(cpath),
+                         "--sidecar", str(spath), "--mass", "1g")
+    assert code == 1 and out == ""
+    assert err.strip() == "tissue grid sidecar must be a JSON object"
 
 
 def test_sweep_is_thin_adapter(capsys, table1):

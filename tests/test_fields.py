@@ -140,6 +140,25 @@ def test_csv_export_shape(table1):
     assert float(first[0]) == grid.r[0]
 
 
+def test_csv_matches_row_loop(table1):
+    # the row-by-row export the vectorized one replaced, kept as reference
+    mode = ModeSpec.derived(ModeFamily.TE, 2, 1, 1, table1.phi0)
+    grid = sample_grid(table1, mode, 5, 6, 4, amplitude=1.75)
+    comps = (grid.E_r, grid.E_phi, grid.E_z, grid.H_r, grid.H_phi, grid.H_z)
+    lines = [",".join(CSV_COLUMNS)]
+    for iz in range(len(grid.z)):
+        for iphi in range(len(grid.phi)):
+            for ir in range(len(grid.r)):
+                row = [grid.r[ir], grid.phi[iphi], grid.z[iz]]
+                for comp in comps:
+                    row.extend((comp[ir, iphi, iz].real,
+                                comp[ir, iphi, iz].imag))
+                lines.append(",".join(repr(float(x)) for x in row))
+    expected = "\n".join(lines) + "\n"
+    assert "-0.0," in expected  # the sign of zero must survive as well
+    assert export_grid(grid, "csv") == expected
+
+
 def test_csv_and_json_agree(table1):
     grid = sample_grid(table1, _mode(2.0), 4, 3, 2)
     doc_csv = export_grid(grid, "csv")

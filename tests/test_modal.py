@@ -25,6 +25,8 @@ def test_azimuthal_order():
         azimuthal_order(-1, math.pi / 2.0)
     with pytest.raises(ValueError):
         azimuthal_order(1, 0.0)
+    with pytest.raises(ValueError):  # float(m) would overflow
+        azimuthal_order(10 ** 400, math.pi / 2.0)
 
 
 def test_geometry_validation():
@@ -45,6 +47,13 @@ def test_mode_validation():
         ModeSpec.explicit(ModeFamily.TE, 1.0, 1, -1)
     with pytest.raises(ValueError):
         ModeSpec.explicit(ModeFamily.TE, -1.0, 1, 0)
+    # indices too large for a float are rejected, not left to overflow
+    with pytest.raises(ValueError):
+        ModeSpec.explicit(ModeFamily.TE, 1.0, 10 ** 400, 0)
+    with pytest.raises(ValueError):
+        ModeSpec.explicit(ModeFamily.TE, 1.0, 1, 10 ** 400)
+    with pytest.raises(ValueError):
+        ModeSpec(ModeFamily.TE, 1.0, 1, 0, m=10 ** 400)
 
 
 def test_te210_anchor(table1):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sectordra import (
     AveragingMass,
@@ -85,6 +87,25 @@ def test_tissue_grid_validation():
         TissueGrid(0.001, ones, 1000.0 * ones, -ones)
     with pytest.raises(ValueError):
         TissueGrid(0.001, ones, np.ones((2, 2)), ones)
+    with pytest.raises(ValueError):  # the voxel volume would overflow
+        TissueGrid(1e200, ones, 1000.0 * ones, ones)
+    # NaN slips past a sign test, so non-finite values are checked first
+    for bad in (math.nan, math.inf):
+        spoiled = ones.copy()
+        spoiled[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="conductivity must be finite"):
+            TissueGrid(0.001, spoiled, 1000.0 * ones, ones)
+        with pytest.raises(ValueError, match="mass density must be finite"):
+            TissueGrid(0.001, ones, 1000.0 * spoiled, ones)
+        with pytest.raises(ValueError, match="field magnitude must be finite"):
+            TissueGrid(0.001, ones, 1000.0 * ones, spoiled)
+
+
+def test_overflowing_sar_is_rejected():
+    ones = np.ones((2, 2, 2))
+    grid = TissueGrid(0.004, ones, 1000.0 * ones, 1e160 * ones)
+    with pytest.raises(ValueError, match="not a finite value"):
+        averaged_sar(grid, 0.0001)
 
 
 def test_matches_brute_force_exactly():
@@ -120,6 +141,68 @@ def test_uniform_grid_ties_break_low():
                                    grid.voxel_m, 0.001)
     assert result_1g.peak_avg_w_per_kg == peak
     assert result_1g.center_index == idx
+
+
+@st.composite
+def _tissue_and_target(draw):
+    """Small grids, uniform or not, with targets that often equal a cube's
+    mass exactly, so the table bounds must defer to the exact slice sums."""
+    shape = draw(st.tuples(*[st.integers(1, 7)] * 3))
+    voxel = draw(st.sampled_from([0.002, 0.004, 0.01]))
+
+    def field(lo, hi):
+        if draw(st.booleans()):
+            return np.full(shape, draw(st.floats(lo, hi)))
+        return draw(hnp.arrays(float, shape, elements=st.floats(lo, hi)))
+
+    sigma = field(0.0, 2.0)
+    rho = field(500.0, 2000.0)
+    e_mag = np.zeros(shape) if draw(st.booleans()) else field(0.0, 100.0)
+    mass = rho * voxel ** 3
+    kind = draw(st.sampled_from(["voxel", "cube", "fraction", "total"]))
+    if kind == "voxel":
+        target = float(mass.flat[draw(st.integers(0, mass.size - 1))])
+    elif kind == "cube":
+        center = [draw(st.integers(0, n - 1)) for n in shape]
+        w = draw(st.integers(0, max(shape)))
+        cube = tuple(slice(max(0, c - w), c + w + 1) for c in center)
+        target = float(np.sum(mass[cube]))
+    elif kind == "fraction":
+        target = draw(st.floats(1e-3, 1.0)) * float(mass.sum())
+    else:
+        target = float(mass.sum())
+    return TissueGrid(voxel, sigma, rho, e_mag), target
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_tissue_and_target())
+def test_matches_brute_force_on_random_grids(case):
+    grid, target = case
+    result = averaged_sar(grid, target)
+    peak, idx = averaged_sar_brute(grid.sigma, grid.rho, grid.e_mag,
+                                   grid.voxel_m, target)
+    assert result.peak_avg_w_per_kg == peak
+    assert result.center_index == idx
+
+
+@pytest.mark.parametrize("mass", [0.001, 0.010])
+def test_large_grid_peak_is_consistent(mass):
+    # 64^3 is out of the brute oracle's reach; check what holds regardless
+    grid = _random_grid(seed=64, shape=(64, 64, 64), voxel=0.002)
+    result = averaged_sar(grid, mass)
+    psar = grid.sigma * grid.e_mag ** 2 / grid.rho
+    assert psar.min() <= result.peak_avg_w_per_kg <= psar.max()
+    ix, iy, iz = result.center
+    assert 0 <= result.center_index < psar.size
+    assert result.center_index == (ix * 64 + iy) * 64 + iz
+    # the winning center's own cube, grown as the brute oracle grows it
+    voxel_mass = grid.rho * grid.voxel_m ** 3
+    for w in range(64):
+        cube = tuple(slice(max(0, c - w), c + w + 1) for c in result.center)
+        m = np.sum(voxel_mass[cube])
+        if m >= mass:
+            break
+    assert result.peak_avg_w_per_kg == np.sum((psar * voxel_mass)[cube]) / m
 
 
 def test_field_scaling_scales_sar():
@@ -201,6 +284,22 @@ def test_file_error_paths():
     short["sigma"] = short["sigma"][:-1]
     with pytest.raises(ValueError):
         tissue_grid_from_json(json.dumps(short))
+    for text in ("[1,2]", "3", "null"):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            tissue_grid_from_json(text)
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            tissue_grid_from_csv(cdoc, text)
+    deep = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(ValueError, match="nests too deeply"):
+        tissue_grid_from_json(deep)
+    with pytest.raises(ValueError, match="nests too deeply"):
+        tissue_grid_from_csv(cdoc, deep)
+    for key, value in (("shape", 3), ("voxel_m", None), ("sigma", {"a": 1}),
+                       ("rho", [10 ** 400] * 60), ("shape", [1e400, 1, 1])):
+        malformed = json.loads(jdoc)
+        malformed[key] = value
+        with pytest.raises(ValueError):
+            tissue_grid_from_json(json.dumps(malformed))
     # csv body with a row missing
     with pytest.raises(ValueError):
         tissue_grid_from_csv("\n".join(cdoc.splitlines()[:-1]) + "\n", sidecar)
