@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .design import SweepParameter, SweepSpec, solve_radius, sweep, sweep_csv
-from .errors import ConvergenceError
+from .errors import ConvergenceError, json_object
 from .fields import export_grid, sample_grid
 from .modal import (
     ModeFamily,
@@ -33,7 +33,7 @@ from .modal import (
     geometry_from_json,
     resonant_frequency,
 )
-from .oracle import FDProblem, compare_modes
+from .oracle import compare_modes
 from .sar import (
     AveragingMass,
     averaged_sar,
@@ -77,7 +77,7 @@ def _build_geometry(args, *, need_radius=True, need_height=True,
             raise _UsageError(
                 f"--geometry conflicts with inline flags: {', '.join(inline)}")
         with open(args.geometry, "r", encoding="utf-8") as fh:
-            return geometry_from_json(json.load(fh))
+            return geometry_from_json(json_object(fh.read(), "geometry document"))
     if need_radius and args.radius_mm is None:
         raise _UsageError("--radius-mm is required (or use --geometry)")
     if need_height and args.height_mm is None:

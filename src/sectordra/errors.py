@@ -1,4 +1,6 @@
-"""Shared exception types and the integer-argument check."""
+"""Shared exception types, the integer-argument check and the JSON reader."""
+
+import json
 
 
 class ConvergenceError(RuntimeError):
@@ -15,3 +17,15 @@ def is_index(value, least: int) -> bool:
         return float(value).is_integer() and value >= least
     except OverflowError:
         return False
+
+
+def json_object(text: str, what: str) -> dict:
+    """Parse `text` as one JSON object; ValueError naming `what` otherwise,
+    also where nesting deep enough for RecursionError."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} nests too deeply") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return data

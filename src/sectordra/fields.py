@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import is_index
+from .errors import is_index, json_object
 from .modal import (
     MU_0,
     ModeFamily,
@@ -387,8 +387,20 @@ def write_grid(grid: FieldGrid, path: str, format: str) -> None:
 
 
 def load_grid_json(doc: str) -> FieldGrid:
-    """Rebuild a FieldGrid from its JSON document, bitwise identical."""
-    data = json.loads(doc)
+    """Rebuild a FieldGrid from its JSON document, bitwise identical.
+
+    A document that is not an object or lacks a key raises ValueError.
+    """
+    data = json_object(doc, "field grid document")
+    try:
+        return _grid_from_document(data)
+    except KeyError as exc:
+        raise ValueError(f"field grid document is missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"field grid document holds a malformed value: {exc}") from None
+
+
+def _grid_from_document(data: dict) -> FieldGrid:
     geo = data["geometry"]
     geom = SectorGeometry(a=geo["radius_m"], h=geo["height_m"],
                           phi0=geo["sector_rad"], eps_r=geo["eps_r"])

@@ -24,11 +24,12 @@ problem outside this model's scope.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import is_index, json_object
 
 __all__ = [
     "SarStandard",
@@ -302,22 +303,19 @@ def averaged_sar(grid: TissueGrid, mass_target_kg: float) -> AveragedSar:
                        center=best_center)
 
 
-def _json_object(text: str, what: str) -> dict:
-    try:
-        data = json.loads(text)
-    except RecursionError:
-        raise ValueError(f"{what} nests too deeply") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    return data
+def _shape(entries) -> tuple[int, int, int]:
+    shape = tuple(entries)
+    if len(shape) != 3 or not all(is_index(x, 1) for x in shape):
+        raise ValueError(f"shape must be three positive integers, got {entries}")
+    return tuple(int(x) for x in shape)
 
 
 def tissue_grid_from_json(text: str) -> TissueGrid:
     """Parse the JSON tissue file: header keys shape, voxel_m, p_in_w and
     flat sigma/rho/e_mag arrays in x-major order."""
-    data = _json_object(text, "tissue grid document")
+    data = json_object(text, "tissue grid document")
     try:
-        shape = tuple(int(x) for x in data["shape"])
+        shape = _shape(data["shape"])
         voxel = float(data["voxel_m"])
         p_in = float(data["p_in_w"])
         arrays = {k: np.array(data[k], dtype=float) for k in ("sigma", "rho", "e_mag")}
@@ -325,8 +323,6 @@ def tissue_grid_from_json(text: str) -> TissueGrid:
         raise ValueError(f"tissue grid document is missing key {exc}") from None
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"tissue grid document holds a malformed value: {exc}") from None
-    if len(shape) != 3:
-        raise ValueError(f"shape must have three entries, got {shape}")
     n = shape[0] * shape[1] * shape[2]
     for name, arr in arrays.items():
         if arr.size != n:
@@ -339,9 +335,9 @@ def tissue_grid_from_json(text: str) -> TissueGrid:
 def tissue_grid_from_csv(csv_text: str, sidecar_text: str) -> TissueGrid:
     """Parse the CSV tissue form: rows index,sigma,rho,e_mag in x-major
     order with shape/voxel_m/p_in_w in a JSON sidecar."""
-    meta = _json_object(sidecar_text, "tissue grid sidecar")
+    meta = json_object(sidecar_text, "tissue grid sidecar")
     try:
-        shape = tuple(int(x) for x in meta["shape"])
+        shape = _shape(meta["shape"])
         voxel = float(meta["voxel_m"])
         p_in = float(meta["p_in_w"])
     except KeyError as exc:

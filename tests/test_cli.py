@@ -83,6 +83,14 @@ def test_geometry_file_and_conflict(capsys, tmp_path):
     code, _, err = run(capsys, "freq", "--geometry", str(path),
                        "--radius-mm", "10", "--mode", TE210)
     assert code == 2 and "--radius-mm" in err
+    for text, message in (("[" * 100_000 + "]" * 100_000,
+                           "geometry document nests too deeply"),
+                          ("[1]", "geometry document must be a JSON object")):
+        path.write_text(text)
+        code, out, err = run(capsys, "freq", "--geometry", str(path),
+                             "--mode", TE210)
+        assert code == 1 and out == ""
+        assert err.strip() == message
 
 
 def test_power_anchor(capsys):
@@ -146,6 +154,12 @@ def test_oracle_table(capsys):
     assert len(lines) == 3
     for line in lines[1:]:
         assert float(line.split(",")[4]) < 0.02
+
+
+def test_oracle_rejects_oversized_grid(capsys):
+    code, out, err = run(capsys, "oracle", "--radius-mm", "12", "--grid", "513")
+    assert code == 1 and out == ""
+    assert err.strip() == "n_r must be at most 512, got 513"
 
 
 def _tissue_files(tmp_path):

@@ -186,6 +186,20 @@ def test_json_round_trip_bitwise(table1):
         assert getattr(back, name).tobytes() == getattr(grid, name).tobytes()
 
 
+def test_load_grid_json_rejects_malformed_documents(table1):
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        load_grid_json("[1]")
+    with pytest.raises(ValueError, match="nests too deeply"):
+        load_grid_json("[" * 100_000 + "]" * 100_000)
+    doc = json.loads(export_grid(sample_grid(table1, _mode(2.0), 3, 3, 2), "json"))
+    del doc["axes"]
+    with pytest.raises(ValueError, match="missing key 'axes'"):
+        load_grid_json(json.dumps(doc))
+    doc["geometry"] = 3
+    with pytest.raises(ValueError, match="malformed value"):
+        load_grid_json(json.dumps(doc))
+
+
 def test_export_rejects_unknown_format(table1):
     grid = sample_grid(table1, _mode(2.0), 3, 3, 1)
     with pytest.raises(ValueError):

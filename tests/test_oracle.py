@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from sectordra import (
     FDProblem,
@@ -10,7 +12,8 @@ from sectordra import (
     compare_modes,
     fd_transverse_eigs,
 )
-from sectordra.oracle import _fd_eigenpairs
+from sectordra.errors import ConvergenceError
+from sectordra.oracle import _assemble, _fd_eigenpairs
 
 # analytic transverse spectrum of the unit quarter disk: conducting faces
 # admit even azimuthal orders only, the arc pins H_z to zero
@@ -23,9 +26,40 @@ def test_problem_validation():
         FDProblem(a=0.0, phi0=math.pi / 2.0, n_r=32, n_phi=32)
     with pytest.raises(ValueError):
         FDProblem(a=1.0, phi0=math.pi / 2.0, n_r=8, n_phi=32)
+    # the grid cap rejects on construction, before anything is allocated
+    FDProblem(a=1.0, phi0=math.pi / 2.0, n_r=16, n_phi=512)
+    for n_r, n_phi in ((513, 32), (32, 513), (100_000, 100_000)):
+        with pytest.raises(ValueError, match="at most 512"):
+            FDProblem(a=1.0, phi0=math.pi / 2.0, n_r=n_r, n_phi=n_phi)
     with pytest.raises(ValueError):
         fd_transverse_eigs(FDProblem(a=1.0, phi0=math.pi / 2.0,
                                      n_r=32, n_phi=32), 0)
+    # shift-invert Lanczos needs count < n
+    with pytest.raises(ValueError, match="from a 256-dim operator"):
+        fd_transverse_eigs(FDProblem(a=1.0, phi0=math.pi / 2.0,
+                                     n_r=16, n_phi=16), 256)
+
+
+@pytest.mark.parametrize("grid", [16, 24, 32])
+@pytest.mark.parametrize("phi0", [0.3, math.pi / 2.0, math.pi, 2.0 * math.pi])
+def test_lanczos_matches_dense_eigh(grid, phi0):
+    # every one of the smallest eigenvalues, none skipped or repeated
+    problem = FDProblem(a=1.0, phi0=phi0, n_r=grid, n_phi=grid)
+    dense = np.sqrt(scipy.linalg.eigh(_assemble(problem).toarray(),
+                                      eigvals_only=True))
+    for count in (1, 7, 12, 40):
+        got = fd_transverse_eigs(problem, count)
+        np.testing.assert_allclose(got, dense[:count], rtol=1e-8, atol=0.0)
+
+
+def test_arpack_failure_is_convergence_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.zeros(1), np.zeros((289, 1)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    with pytest.raises(ConvergenceError, match="converged 1 of 3 eigenpairs"):
+        fd_transverse_eigs(FDProblem(a=1.0, phi0=1.0, n_r=17, n_phi=17), 3)
 
 
 def test_eigenvalues_cover_even_order_zeros(fd_quarter):

@@ -300,6 +300,18 @@ def test_file_error_paths():
         malformed[key] = value
         with pytest.raises(ValueError):
             tissue_grid_from_json(json.dumps(malformed))
+    # a fractional shape entry is rejected, not truncated: 12 * 12 * 12
+    # values would fit the truncated shape
+    cube = {"shape": [12.5, 12, 12], "voxel_m": 0.002, "p_in_w": 1.0,
+            "sigma": [0.5] * 1728, "rho": [1000.0] * 1728,
+            "e_mag": [10.0] * 1728}
+    with pytest.raises(ValueError, match="shape must be three positive integers"):
+        tissue_grid_from_json(json.dumps(cube))
+    csv_cube = "".join(f"{k},0.5,1000.0,10.0\n" for k in range(1728))
+    for shape in ([12.5, 12, 12], [12, 144], [0, 12, 144], [12, 12, 12, 1]):
+        meta = json.dumps({"shape": shape, "voxel_m": 0.002, "p_in_w": 1.0})
+        with pytest.raises(ValueError, match="shape must be three positive integers"):
+            tissue_grid_from_csv(csv_cube, meta)
     # csv body with a row missing
     with pytest.raises(ValueError):
         tissue_grid_from_csv("\n".join(cdoc.splitlines()[:-1]) + "\n", sidecar)
