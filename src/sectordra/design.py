@@ -22,6 +22,7 @@ import csv
 import math
 from dataclasses import dataclass
 
+from .errors import is_index
 from .modal import C_LIGHT, ModeSpec, SectorGeometry, resonant_frequency, wavenumbers
 
 __all__ = [
@@ -34,6 +35,11 @@ __all__ = [
 ]
 
 
+# steps per sweep: 10000 sector-angle steps of one mode take about 1 s
+# on a 2-vCPU VM (a cold Bessel zero per step), radius steps 0.25 s
+_MAX_STEPS = 10_000
+
+
 class SweepParameter(enum.Enum):
     RADIUS = "radius"
     HEIGHT = "height"
@@ -43,7 +49,8 @@ class SweepParameter(enum.Enum):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept parameter over [start, stop] in `steps` uniform points."""
+    """One swept parameter over [start, stop] in `steps` uniform points,
+    2 <= steps <= 10000."""
 
     parameter: SweepParameter
     start: float
@@ -59,8 +66,12 @@ class SweepSpec:
         if not (self.start < self.stop):
             raise ValueError(
                 f"sweep needs start < stop, got [{self.start}, {self.stop}]")
-        if self.steps < 2:
-            raise ValueError(f"sweep needs at least 2 steps, got {self.steps}")
+        if not is_index(self.steps, 2):
+            raise ValueError(f"sweep needs an integer of at least 2 steps, "
+                             f"got {self.steps}")
+        if self.steps > _MAX_STEPS:
+            raise ValueError(f"sweep takes at most {_MAX_STEPS} steps, "
+                             f"got {self.steps}")
         if not self.modes:
             raise ValueError("sweep needs at least one mode")
 

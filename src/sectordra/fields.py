@@ -23,6 +23,7 @@ the largest |H_z| equals the requested amplitude (1 by default).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -61,6 +62,9 @@ CSV_COLUMNS = (
 )
 
 _COMPONENT_NAMES = ("Er", "Ephi", "Ez", "Hr", "Hphi", "Hz")
+# nodes per grid (n_r * n_phi * n_z); at 64^3, CSV or JSON export takes about
+# 2.5 s and 240-280 MB peak on a 2-vCPU VM
+_MAX_NODES = 2**18
 
 
 @dataclass(frozen=True)
@@ -211,6 +215,9 @@ def _validate_counts(mode: ModeSpec, n_r: int, n_phi: int, n_z: int) -> None:
             raise ValueError(f"{name} must be a positive integer, got {count}")
     if n_r < 2 or n_phi < 2:
         raise ValueError("need at least 2 nodes along r and phi")
+    if n_r * n_phi * n_z > _MAX_NODES:
+        raise ValueError(f"grid of {n_r} x {n_phi} x {n_z} nodes exceeds "
+                         f"the cap of {_MAX_NODES}")
     if n_z < 2 and not (n_z == 1 and mode.p == 0):
         raise ValueError("n_z = 1 is only allowed for p = 0 modes")
 
@@ -223,6 +230,8 @@ def sample_grid(geom: SectorGeometry, mode: ModeSpec, n_r: int, n_phi: int,
     axis is evaluated once and the 3-D arrays are outer products; the result
     is identical to pointwise evaluation up to roundoff. After sampling,
     every component is scaled so max |H_z| over the grid equals `amplitude`.
+    A grid of more than 2**18 nodes (64^3) is rejected before anything is
+    allocated.
     """
     _validate_counts(mode, n_r, n_phi, n_z)
     if not (amplitude > 0.0 and math.isfinite(amplitude)):
@@ -319,6 +328,15 @@ def boundary_residuals(geom: SectorGeometry, mode: ModeSpec,
     return BoundaryResiduals(face_e_tangential=face, arc_h_phi=arc, cap_dhz_dz=cap)
 
 
+def _csv_column(part: np.ndarray):
+    """repr() of every float in `part`, lazily; a part with no nonzero entry
+    (E_z, and the real or imaginary half of a purely imaginary or real
+    component) only needs the sign of each zero. NaN counts as nonzero."""
+    if np.count_nonzero(part):
+        return map(repr, part.tolist())
+    return map(("0.0", "-0.0").__getitem__, np.signbit(part).tolist())
+
+
 def export_grid(grid: FieldGrid, format: str) -> str:
     """Serialize a grid to a CSV or JSON document string.
 
@@ -328,17 +346,20 @@ def export_grid(grid: FieldGrid, format: str) -> str:
     """
     if format == "csv":
         comps = (grid.E_r, grid.E_phi, grid.E_z, grid.H_r, grid.H_phi, grid.H_z)
-        r, phi = np.meshgrid(grid.r, grid.phi, indexing="ij")
+        # the (r, phi) text of a row is the same in every z-plane: join it
+        # once, phi-major like the rows
+        r_text = list(map(repr, grid.r.tolist()))
+        r_phi = [f"{r},{phi}" for phi in map(repr, grid.phi.tolist())
+                 for r in r_text]
         lines = [",".join(CSV_COLUMNS)]
-        # one z-plane at a time: a whole-grid table, and the Python floats
-        # its tolist() makes, would raise the export's peak memory
-        for iz, z in enumerate(grid.z):
-            columns = [r, phi, np.full_like(r, z)]
+        # one z-plane at a time, column by column: each column is formatted
+        # lazily and zip() assembles the rows
+        for iz, z in enumerate(grid.z.tolist()):
+            columns = [r_phi, itertools.repeat(repr(z))]
             for comp in comps:
-                columns += [comp[:, :, iz].real, comp[:, :, iz].imag]
-            plane = np.stack(columns, axis=-1).transpose(1, 0, 2)
-            lines.extend(",".join(map(repr, row))
-                         for row in plane.reshape(-1, len(columns)).tolist())
+                plane = comp[:, :, iz].T.ravel()
+                columns += [_csv_column(plane.real), _csv_column(plane.imag)]
+            lines.extend(map(",".join, zip(*columns)))
         return "\n".join(lines) + "\n"
     if format == "json":
         order = (2, 1, 0)  # store flat arrays z-major to match the CSV

@@ -359,7 +359,7 @@ def tissue_grid_from_csv(csv_text: str, sidecar_text: str) -> TissueGrid:
     if len(rows) != n:
         raise ValueError(f"CSV holds {len(rows)} voxels, expected {n}")
     for k, row in enumerate(rows):
-        if int(row[0]) != k:
+        if row[0] != k:  # compare as floats: no int() to truncate or overflow
             raise ValueError(f"voxel index column out of order at row {k}: {row[0]}")
     data = np.array(rows, dtype=float)
     return TissueGrid(voxel, data[:, 1].reshape(shape), data[:, 2].reshape(shape),

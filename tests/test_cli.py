@@ -162,6 +162,20 @@ def test_oracle_rejects_oversized_grid(capsys):
     assert err.strip() == "n_r must be at most 512, got 513"
 
 
+def test_caps_exit_1(capsys):
+    # each cap rejects before any work; none of these runs to its size
+    for argv, message in (
+            (["oracle", "--radius-mm", "12", "--count", "1000"],
+             "count must be at most 50, got 1000"),
+            (["field", *G, "--mode", TE210, "--n-r", "100000", "--n-phi",
+              "100000", "--n-z", "100000"], "exceeds the cap of 262144"),
+            (["modes", *G, "--fmax-ghz", "1e9", "--m-max", "1", "--n-max",
+              "1", "--p-max", "2000000"], "more than 1000 modes")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert message in err
+
+
 def _tissue_files(tmp_path):
     rng = np.random.default_rng(3)
     shape = (4, 4, 4)

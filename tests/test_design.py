@@ -26,6 +26,13 @@ def test_spec_validation():
         SweepSpec(SweepParameter.RADIUS, 0.008, 0.016, 1, (TE210,))
     with pytest.raises(ValueError):
         SweepSpec(SweepParameter.RADIUS, 0.008, 0.016, 5, ())
+    # a fractional, non-finite or oversized step count is a ValueError
+    # before values() would meet it
+    for steps in (2.5, math.nan, math.inf, 10_001, 10 ** 400):
+        with pytest.raises(ValueError, match="steps"):
+            SweepSpec(SweepParameter.RADIUS, 0.008, 0.016, steps, (TE210,))
+    assert len(SweepSpec(SweepParameter.RADIUS, 0.008, 0.016, 10_000,
+                         (TE210,)).values()) == 10_000
     spec = SweepSpec("radius", 0.008, 0.016, 3, (TE210,))
     assert spec.parameter is SweepParameter.RADIUS
     assert spec.values() == [0.008, 0.012, 0.016]

@@ -127,6 +127,12 @@ def test_grid_count_validation(table1):
     # p = 0 modes may collapse the z axis
     grid = sample_grid(table1, _mode(2.0), 9, 9, 1)
     assert grid.shape == (9, 9, 1)
+    # the node cap rejects before anything is allocated
+    for shape in ((10 ** 6, 10 ** 6, 10 ** 6), (2, 2, 10 ** 400)):
+        with pytest.raises(ValueError):
+            sample_grid(table1, _mode(2.0, 1, 1), *shape)
+    with pytest.raises(ValueError, match="exceeds the cap of 262144"):
+        sample_grid(table1, _mode(2.0, 1, 1), 65, 64, 64)
 
 
 def test_csv_export_shape(table1):
@@ -140,10 +146,8 @@ def test_csv_export_shape(table1):
     assert float(first[0]) == grid.r[0]
 
 
-def test_csv_matches_row_loop(table1):
-    # the row-by-row export the vectorized one replaced, kept as reference
-    mode = ModeSpec.derived(ModeFamily.TE, 2, 1, 1, table1.phi0)
-    grid = sample_grid(table1, mode, 5, 6, 4, amplitude=1.75)
+def _csv_row_loop(grid):
+    # the row-by-row export the column-wise one replaced, kept as reference
     comps = (grid.E_r, grid.E_phi, grid.E_z, grid.H_r, grid.H_phi, grid.H_z)
     lines = [",".join(CSV_COLUMNS)]
     for iz in range(len(grid.z)):
@@ -154,9 +158,35 @@ def test_csv_matches_row_loop(table1):
                     row.extend((comp[ir, iphi, iz].real,
                                 comp[ir, iphi, iz].imag))
                 lines.append(",".join(repr(float(x)) for x in row))
-    expected = "\n".join(lines) + "\n"
-    assert "-0.0," in expected  # the sign of zero must survive as well
-    assert export_grid(grid, "csv") == expected
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_matches_row_loop(table1):
+    te = (ModeSpec.derived(ModeFamily.TE, m, n, p, table1.phi0)
+          for m, n, p in ((2, 1, 0), (2, 1, 1), (1, 2, 2), (1, 1, 0)))
+    eh = ModeSpec.explicit(ModeFamily.EH, 1.0, 1, 1)
+    for mode, shape in zip((*te, eh), ((5, 6, 4), (5, 6, 4), (7, 4, 5),
+                                       (7, 9, 1), (6, 5, 3))):
+        grid = sample_grid(table1, mode, *shape, amplitude=1.75)
+        expected = _csv_row_loop(grid)
+        assert "-0.0," in expected  # the sign of zero must survive as well
+        assert export_grid(grid, "csv").encode() == expected.encode()
+
+
+def test_csv_matches_row_loop_on_special_values(table1):
+    mode = ModeSpec.derived(ModeFamily.TE, 2, 1, 1, table1.phi0)
+    doc = json.loads(export_grid(sample_grid(table1, mode, 4, 3, 2), "json"))
+    comps = doc["components"]
+    comps["Er"]["re"][:4] = [math.nan, math.inf, -math.inf, -0.0]
+    comps["Hz"]["im"][5] = math.nan   # the only nonzero entry of its part
+    comps["Ez"]["re"] = [-0.0] * len(comps["Ez"]["re"])
+    comps["Ez"]["im"] = [(-0.0, 0.0)[k % 2] for k in range(len(comps["Ez"]["im"]))]
+    comps["Hr"]["re"][3] = -math.inf
+    grid = load_grid_json(json.dumps(doc))
+    expected = _csv_row_loop(grid)
+    for text in ("nan", "inf", "-inf", ",-0.0,-0.0,"):
+        assert text in expected
+    assert export_grid(grid, "csv").encode() == expected.encode()
 
 
 def test_csv_and_json_agree(table1):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from sectordra import modal
 from sectordra import (
     C_LIGHT,
     ModeFamily,
@@ -143,6 +144,71 @@ def test_enumerate_no_duplicate_orders(table1):
     found = enumerate_modes(table1, 2e10, m_max=4, n_max=2, p_max=0)
     seen = [(mode.v, mode.n, mode.p) for mode, _ in found]
     assert len(seen) == len(set(seen))
+
+
+def _enumerate_every_candidate(geom, f_max, m_max, n_max, p_max):
+    # the unbounded loop over every index, kept as reference
+    entries = []
+    derived = [azimuthal_order(m, geom.phi0) for m in range(m_max + 1)]
+    for m in range(m_max + 1):
+        for n in range(1, n_max + 1):
+            for p in range(p_max + 1):
+                entries.append(ModeSpec.derived(ModeFamily.TE, m, n, p,
+                                                geom.phi0))
+    for v in range(1, m_max + 1):
+        if all(abs(v - d) > 1e-9 for d in derived):
+            entries += [ModeSpec.explicit(ModeFamily.EH, float(v), n, p)
+                        for n in range(1, n_max + 1) for p in range(p_max + 1)]
+    found = [(mode, resonant_frequency(geom, mode)) for mode in entries]
+    return sorted(((mode, f) for mode, f in found if f <= f_max),
+                  key=lambda item: (item[1], item[0].m if item[0].m is not None
+                                    else int(round(item[0].v)),
+                                    item[0].n, item[0].p))
+
+
+@pytest.mark.parametrize("phi0", [0.3, math.pi / 3.0, math.pi / 2.0, 2.0,
+                                  math.pi, 2.0 * math.pi])
+@pytest.mark.parametrize("f_max", [3e9, 9e9, 2.5e10])
+def test_enumerate_matches_every_candidate(phi0, f_max):
+    geom = SectorGeometry(a=0.012, h=0.00254, phi0=phi0, eps_r=12.85)
+    bounds = dict(m_max=5, n_max=4, p_max=2)
+    assert enumerate_modes(geom, f_max, **bounds) == \
+        _enumerate_every_candidate(geom, f_max, **bounds)
+
+
+def test_enumerate_cost_follows_the_cutoff(table1):
+    # index bounds far above the cutoff: each loop stops at its first mode
+    # above f_max, so only a handful of zeros are computed
+    modal._zero.cache_clear()
+    found = enumerate_modes(table1, 7e9, m_max=2_000_000, n_max=2_000_000,
+                            p_max=2_000_000)
+    assert modal._zero.cache_info().misses <= 10
+    assert found == enumerate_modes(table1, 7e9, m_max=6, n_max=6, p_max=2)
+
+
+def test_enumerate_caps_the_mode_count():
+    # a half disk lists orders 0 and 1 once each (the explicit v = 1 is a
+    # derived order), so p = 0..499 gives exactly the 1000 modes allowed
+    half = SectorGeometry(a=0.012, h=0.00254, phi0=math.pi, eps_r=12.85)
+    assert len(enumerate_modes(half, 1e14, m_max=1, n_max=1, p_max=499)) == 1000
+    with pytest.raises(ValueError, match="more than 1000 modes"):
+        enumerate_modes(half, 1e14, m_max=1, n_max=1, p_max=500)
+    with pytest.raises(ValueError, match="more than 1000 modes"):
+        enumerate_modes(half, 1e300, m_max=1, n_max=1, p_max=10 ** 9)
+
+
+def test_mode_json_rejects_non_integer_indices(table1):
+    # n, p and m are checked, not truncated through int()
+    for key, value in (("n", 1.5), ("p", 0.7), ("n", 0), ("p", -1),
+                       ("n", 10 ** 400), ("n", True), ("n", "1")):
+        doc = {"family": "TE", "v": 2.0, "n": 1, "p": 0, key: value}
+        with pytest.raises(ValueError):
+            mode_from_json(doc, table1)
+    for m in (1.5, -1, 10 ** 400):
+        with pytest.raises(ValueError, match="azimuthal index"):
+            mode_from_json({"family": "TE", "m": m, "n": 1, "p": 0}, table1)
+    mode = mode_from_json({"family": "TE", "v": 2.0, "n": 2.0, "p": 1.0}, table1)
+    assert (mode.n, mode.p) == (2, 1) and type(mode.n) is int
 
 
 def test_geometry_json_round_trip():

@@ -125,3 +125,6 @@ def test_compare_modes_half_disk():
 def test_compare_modes_validation(table1):
     with pytest.raises(ValueError):
         compare_modes(table1, count=0, grid=64)
+    # the cap rejects before any zero search or solve
+    with pytest.raises(ValueError, match="at most 50"):
+        compare_modes(table1, count=51, grid=64)

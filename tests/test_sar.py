@@ -320,3 +320,9 @@ def test_file_error_paths():
     lines[1], lines[2] = lines[2], lines[1]
     with pytest.raises(ValueError):
         tissue_grid_from_csv("\n".join(lines) + "\n", sidecar)
+    # an index that int() would truncate or overflow on
+    for index in ("1.7", "inf", "nan", "1e400"):
+        lines = cdoc.splitlines()
+        lines[2] = ",".join([index] + lines[2].split(",")[1:])
+        with pytest.raises(ValueError, match="voxel index column"):
+            tissue_grid_from_csv("\n".join(lines) + "\n", sidecar)
