@@ -92,6 +92,14 @@ def _build_geometry(args, *, need_radius=True, need_height=True,
     )
 
 
+def _hz(ghz: float, flag: str) -> float:
+    """A GHz flag in Hz; one that overflows on the way is named as typed."""
+    hz = ghz * 1e9
+    if math.isfinite(ghz) and not math.isfinite(hz):
+        raise ValueError(f"{flag} {ghz!r} is out of floating-point range in Hz")
+    return hz
+
+
 def _height_given(args) -> bool:
     return args.geometry is not None or args.height_mm is not None
 
@@ -296,7 +304,7 @@ def _cmd_freq(args) -> None:
 
 def _cmd_modes(args) -> None:
     geom = _build_geometry(args, need_height=args.p_max > 0)
-    found = enumerate_modes(geom, args.fmax_ghz * 1e9, args.m_max,
+    found = enumerate_modes(geom, _hz(args.fmax_ghz, "--fmax-ghz"), args.m_max,
                             args.n_max, args.p_max)
     rows = [{"family": mode.family.value, "v": mode.v, "n": mode.n,
              "p": mode.p, "f_ghz": f / 1e9} for mode, f in found]
@@ -390,7 +398,7 @@ def _cmd_design(args) -> None:
     geom = _build_geometry(args, need_radius=False, need_height=False)
     mode = _parse_mode(args.mode, geom.phi0)
     _require_height_for(args, [mode])
-    a = solve_radius(geom, mode, args.target_ghz * 1e9,
+    a = solve_radius(geom, mode, _hz(args.target_ghz, "--target-ghz"),
                      args.a_min_mm / 1000.0, args.a_max_mm / 1000.0)
     rows = [{"radius_mm": a * 1000.0}]
     _emit(_render(["radius_mm"], rows, args.format), args.output)

@@ -62,8 +62,10 @@ CSV_COLUMNS = (
 )
 
 _COMPONENT_NAMES = ("Er", "Ephi", "Ez", "Hr", "Hphi", "Hz")
-# nodes per grid (n_r * n_phi * n_z); at 64^3, CSV or JSON export takes about
-# 2.5 s and 240-280 MB peak on a 2-vCPU VM
+# nodes per grid (n_r * n_phi * n_z). At 64^3 on a 2-vCPU VM, with 87 MB of
+# process peak before the export: CSV 0.3 s and 176 MB peak at p = 0, 2.0 s
+# and 196 MB at p = 1; JSON 0.2 s and 147 MB at p = 0, 1.5-1.8 s and 167 MB
+# at p = 1
 _MAX_NODES = 2**18
 
 
@@ -231,7 +233,8 @@ def sample_grid(geom: SectorGeometry, mode: ModeSpec, n_r: int, n_phi: int,
     is identical to pointwise evaluation up to roundoff. After sampling,
     every component is scaled so max |H_z| over the grid equals `amplitude`.
     A grid of more than 2**18 nodes (64^3) is rejected before anything is
-    allocated.
+    allocated, and an amplitude at which a component overflows raises
+    ValueError.
     """
     _validate_counts(mode, n_r, n_phi, n_z)
     if not (amplitude > 0.0 and math.isfinite(amplitude)):
@@ -262,10 +265,13 @@ def sample_grid(geom: SectorGeometry, mode: ModeSpec, n_r: int, n_phi: int,
                          "(all radial nodes sit on zeros of J_v)")
     scale = amplitude / peak
 
-    e_r = 1j * omega * MU_0 / kr2 * scale * outer(vj_r, sin_v)
-    e_phi = 1j * omega * MU_0 / kr2 * scale * outer(rjp, cos_v)
-    h_r = -1j * wn.k_z / kr2 * scale * outer(rjp, cos_v)
-    h_phi = 1j * wn.k_z / kr2 * scale * outer(vj_r, sin_v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_r = 1j * omega * MU_0 / kr2 * scale * outer(vj_r, sin_v)
+        e_phi = 1j * omega * MU_0 / kr2 * scale * outer(rjp, cos_v)
+        h_r = -1j * wn.k_z / kr2 * scale * outer(rjp, cos_v)
+        h_phi = 1j * wn.k_z / kr2 * scale * outer(vj_r, sin_v)
+    if not all(np.isfinite(comp).all() for comp in (e_r, e_phi, h_r, h_phi)):
+        raise ValueError(f"field components overflow at amplitude {amplitude}")
     return FieldGrid(
         geometry=geom,
         mode=mode,
@@ -328,13 +334,32 @@ def boundary_residuals(geom: SectorGeometry, mode: ModeSpec,
     return BoundaryResiduals(face_e_tangential=face, arc_h_phi=arc, cap_dhz_dz=cap)
 
 
-def _csv_column(part: np.ndarray):
-    """repr() of every float in `part`, lazily; a part with no nonzero entry
-    (E_z, and the real or imaginary half of a purely imaginary or real
-    component) only needs the sign of each zero. NaN counts as nonzero."""
+def _csv_column(part: np.ndarray) -> list[str]:
+    """repr() of every float in `part`; a part with no nonzero entry (E_z,
+    and the real or imaginary half of a purely imaginary or real component)
+    only needs the sign of each zero. NaN counts as nonzero."""
     if np.count_nonzero(part):
-        return map(repr, part.tolist())
-    return map(("0.0", "-0.0").__getitem__, np.signbit(part).tolist())
+        return list(map(repr, part.tolist()))
+    return list(map(("0.0", "-0.0").__getitem__, np.signbit(part).tolist()))
+
+
+def _json_items(part: np.ndarray) -> str:
+    """The items of json.dumps(part.tolist()), without the brackets."""
+    return json.dumps(part.tolist())[1:-1]
+
+
+def _plane_texts(comp: np.ndarray, half: str, fmt):
+    """fmt of the real or imaginary `half` of each z-plane of a component,
+    flattened phi-major. A plane bitwise equal to the one before it reuses
+    that plane's text: every plane of a p = 0 mode is the same, since its
+    fields do not vary along z."""
+    last_key = last_text = None
+    for iz in range(comp.shape[2]):
+        part = getattr(comp[:, :, iz].T.ravel(), half)
+        key = part.tobytes()
+        if key != last_key:
+            last_key, last_text = key, fmt(part)
+        yield last_text
 
 
 def export_grid(grid: FieldGrid, format: str) -> str:
@@ -342,35 +367,28 @@ def export_grid(grid: FieldGrid, format: str) -> str:
 
     CSV rows run z-major, then phi, then r, under the fixed header
     `CSV_COLUMNS`. The JSON document stores the same samples (flat arrays in
-    the same order) and round-trips bitwise through `load_grid_json`.
+    the same order) and round-trips bitwise through `load_grid_json`. Both
+    format one z-plane at a time and format a repeated plane only once.
     """
+    comps = (grid.E_r, grid.E_phi, grid.E_z, grid.H_r, grid.H_phi, grid.H_z)
     if format == "csv":
-        comps = (grid.E_r, grid.E_phi, grid.E_z, grid.H_r, grid.H_phi, grid.H_z)
         # the (r, phi) text of a row is the same in every z-plane: join it
         # once, phi-major like the rows
         r_text = list(map(repr, grid.r.tolist()))
         r_phi = [f"{r},{phi}" for phi in map(repr, grid.phi.tolist())
                  for r in r_text]
         lines = [",".join(CSV_COLUMNS)]
-        # one z-plane at a time, column by column: each column is formatted
-        # lazily and zip() assembles the rows
-        for iz, z in enumerate(grid.z.tolist()):
-            columns = [r_phi, itertools.repeat(repr(z))]
-            for comp in comps:
-                plane = comp[:, :, iz].T.ravel()
-                columns += [_csv_column(plane.real), _csv_column(plane.imag)]
-            lines.extend(map(",".join, zip(*columns)))
-        return "\n".join(lines) + "\n"
+        # one z-plane at a time, column by column: zip() assembles the rows
+        parts = [_plane_texts(comp, half, _csv_column)
+                 for comp in comps for half in ("real", "imag")]
+        for z, *columns in zip(grid.z.tolist(), *parts):
+            lines.extend(map(",".join,
+                             zip(r_phi, itertools.repeat(repr(z)), *columns)))
+        lines.append("")  # the final newline, without a second copy of the text
+        return "\n".join(lines)
     if format == "json":
-        order = (2, 1, 0)  # store flat arrays z-major to match the CSV
-        comps = {}
-        for name, arr in zip(_COMPONENT_NAMES,
-                             (grid.E_r, grid.E_phi, grid.E_z,
-                              grid.H_r, grid.H_phi, grid.H_z)):
-            flat = arr.transpose(order).ravel()
-            comps[name] = {"re": flat.real.tolist(), "im": flat.imag.tolist()}
         mode = grid.mode
-        doc = {
+        head = json.dumps({
             "geometry": {
                 "radius_m": grid.geometry.a,
                 "height_m": grid.geometry.h,
@@ -391,9 +409,18 @@ def export_grid(grid: FieldGrid, format: str) -> str:
                 "phi_rad": grid.phi.tolist(),
                 "z_m": grid.z.tolist(),
             },
-            "components": comps,
-        }
-        return json.dumps(doc)
+        })
+
+        def array(comp: np.ndarray, half: str) -> str:
+            # flat and z-major to match the CSV; an empty plane has no items
+            planes = _plane_texts(comp, half, _json_items)
+            return "[" + ", ".join(filter(None, planes)) + "]"
+
+        # the components go last, as json.dumps(doc) would place them
+        body = ", ".join(f'"{name}": {{"re": {array(comp, "real")}, '
+                         f'"im": {array(comp, "imag")}}}'
+                         for name, comp in zip(_COMPONENT_NAMES, comps))
+        return f'{head[:-1]}, "components": {{{body}}}}}'
     raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
 
@@ -410,7 +437,8 @@ def write_grid(grid: FieldGrid, path: str, format: str) -> None:
 def load_grid_json(doc: str) -> FieldGrid:
     """Rebuild a FieldGrid from its JSON document, bitwise identical.
 
-    A document that is not an object or lacks a key raises ValueError.
+    A document that is not an object, lacks a key, or whose axes do not
+    match its shape raises ValueError.
     """
     data = json_object(doc, "field grid document")
     try:
@@ -429,7 +457,11 @@ def _grid_from_document(data: dict) -> FieldGrid:
     mode = ModeSpec(family=ModeFamily(md["family"]), v=md["v"], n=md["n"],
                     p=md["p"], m=md["m"])
     n_r, n_phi, n_z = data["shape"]
-    axes = data["axes"]
+    r, phi, z = (np.array(data["axes"][key], dtype=float)
+                 for key in ("r_m", "phi_rad", "z_m"))
+    if (len(r), len(phi), len(z)) != (n_r, n_phi, n_z):
+        raise ValueError(f"field grid axes hold {len(r)}, {len(phi)} and "
+                         f"{len(z)} values, but the shape is {data['shape']}")
     arrays = {}
     for name in _COMPONENT_NAMES:
         comp = data["components"][name]
@@ -441,9 +473,9 @@ def _grid_from_document(data: dict) -> FieldGrid:
     return FieldGrid(
         geometry=geom,
         mode=mode,
-        r=np.array(axes["r_m"], dtype=float),
-        phi=np.array(axes["phi_rad"], dtype=float),
-        z=np.array(axes["z_m"], dtype=float),
+        r=r,
+        phi=phi,
+        z=z,
         E_r=arrays["Er"],
         E_phi=arrays["Ephi"],
         E_z=arrays["Ez"],

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -189,13 +190,21 @@ def wavenumbers(geom: SectorGeometry, mode: ModeSpec) -> Wavenumbers:
     """Wavenumbers of a mode on a geometry.
 
     k_r = X_vn / a, k_phi = v / a, k_z = p pi / h, composed into
-    k = sqrt(k_r^2 + k_phi^2 + k_z^2).
+    k = sqrt(k_r^2 + k_phi^2 + k_z^2). A geometry so extreme that k
+    overflows, or that k_r^2 falls below the normal floats and loses
+    digits, raises ValueError; the resonant frequency is then always
+    positive and finite.
     """
     _check_mode_geometry(geom, mode)
     k_r = _zero(mode.v, mode.n) / geom.a
     k_phi = mode.v / geom.a
     k_z = mode.p * math.pi / geom.h
-    return Wavenumbers.compose(k_r, k_phi, k_z)
+    wn = Wavenumbers.compose(k_r, k_phi, k_z)
+    if not (math.isfinite(wn.k) and k_r * k_r >= sys.float_info.min):
+        raise ValueError(
+            f"wavenumbers of v={mode.v}, n={mode.n}, p={mode.p} on radius "
+            f"{geom.a} m and height {geom.h} m are out of floating-point range")
+    return wn
 
 
 def resonant_frequency(geom: SectorGeometry, mode: ModeSpec) -> float:

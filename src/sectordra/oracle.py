@@ -37,6 +37,15 @@ _SEED = 20240817
 _MAX_GRID = 512
 # analytic-vs-FD pairs per compare_modes call
 _MAX_COUNT = 50
+# largest |B x - lam x| / lam accepted for a unit eigenvector x. B is
+# symmetric, so some eigenvalue of B lies that close to lam, relatively
+# (Parlett, The Symmetric Eigenvalue Problem, ch. 4), which bounds the
+# rounding error of the solve. Sectors of 0.01 rad and wider pass up to
+# 512^2 (worst 5.7e-4 at 0.01 rad and 512^2, 8.7e-6 at 128^2); thinner
+# ones make B so ill-conditioned that rounding swamps the smallest
+# eigenvalues (at 1e-5 rad and 16^2 the residual is 3e-2 and k_t 2.4007
+# for 2.4033).
+_MAX_RESIDUAL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -120,8 +129,17 @@ def _assemble(problem: FDProblem) -> scipy.sparse.csc_matrix:
           np.concatenate([cols_a, rows_a, np.arange(n)]))),
         shape=(n, n)).tocsc()
     w = np.repeat(r * dr * dphi, n_phi)
-    d_inv = scipy.sparse.diags(1.0 / np.sqrt(w))
-    return (d_inv @ m @ d_inv).tocsc()
+    # cell areas that underflow to zero or overflow (a radius near the ends
+    # of the float range) are refused before they are inverted
+    b = None
+    if w.min() > 0.0 and math.isfinite(w.max()):
+        d_inv = scipy.sparse.diags(1.0 / np.sqrt(w))
+        b = (d_inv @ m @ d_inv).tocsc()
+    if b is None or not np.isfinite(b.data).all():
+        raise ValueError(f"radius {problem.a} m and sector angle "
+                         f"{problem.phi0} put the FD operator out of "
+                         "floating-point range")
+    return b
 
 
 def _smallest(b: scipy.sparse.csc_matrix, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,6 +154,10 @@ def _smallest(b: scipy.sparse.csc_matrix, count: int) -> tuple[np.ndarray, np.nd
         raise ConvergenceError(
             f"shift-invert Lanczos converged {len(exc.eigenvalues)} of "
             f"{count} eigenpairs") from None
+    except RuntimeError as exc:
+        # a factorization that rounding made singular, or an ARPACK breakdown
+        raise ValueError(f"the FD operator is too ill-conditioned to solve: "
+                         f"{exc}") from None
     order = np.argsort(lam)
     return lam[order], vec.T[order]
 
@@ -147,6 +169,12 @@ def _solve(problem: FDProblem, count: int) -> tuple[tuple[float, ...], np.ndarra
     if count >= n:
         raise ValueError(f"requested {count} eigenvalues from a {n}-dim operator")
     lam, vec = _smallest(b, count)
+    residual = np.linalg.norm(b @ vec.T / lam - vec.T, axis=0)
+    if not np.all(residual <= _MAX_RESIDUAL):
+        raise ValueError(
+            f"rounding swamps the FD eigenvalues of radius {problem.a} m and "
+            f"sector angle {problem.phi0} (relative residual "
+            f"{np.max(residual):.1e}); the sector is too thin for the grid")
     if lam[0] <= 0.0 or np.any(np.diff(lam) < 0.0):
         raise ConvergenceError("symmetrized spectrum is not positive ascending; "
                                "assembly bug")
@@ -158,7 +186,9 @@ def fd_transverse_eigs(problem: FDProblem, count: int) -> list[float]:
     """The `count` smallest transverse wavenumbers k_t (rad/m), ascending.
 
     `count` must be below n_r * n_phi. Deterministic for fixed inputs;
-    raises ConvergenceError if the Lanczos iteration fails to settle.
+    raises ConvergenceError if the Lanczos iteration fails to settle, and
+    ValueError if the operator leaves floating-point range or rounding
+    leaves an eigenpair residual above 1e-3 of its eigenvalue.
     """
     if not is_index(count, 1):
         raise ValueError(f"count must be a positive integer, got {count}")

@@ -126,12 +126,19 @@ def point_sar(sigma: float, e_mag: float, rho: float) -> float:
 
 
 def max_allowed_power(p_in: float, sar_achieved: float, limit: SarLimit) -> float:
-    """Input power that scales a computed SAR figure onto its limit."""
+    """Input power that scales a computed SAR figure onto its limit.
+
+    A ratio that overflows or underflows to zero raises ValueError.
+    """
     if not (p_in > 0.0 and math.isfinite(p_in)):
         raise ValueError(f"input power must be positive, got {p_in}")
     if not (sar_achieved > 0.0 and math.isfinite(sar_achieved)):
         raise ValueError(f"achieved SAR must be positive, got {sar_achieved}")
-    return p_in * (limit.value / sar_achieved)
+    p_max = p_in * (limit.value / sar_achieved)
+    if not (p_max > 0.0 and math.isfinite(p_max)):
+        raise ValueError(f"input power {p_in} W at SAR {sar_achieved} W/kg "
+                         f"gives a power limit out of floating-point range")
+    return p_max
 
 
 class TissueGrid:

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sectordra import (
     ModeFamily,
@@ -176,6 +181,33 @@ def test_caps_exit_1(capsys):
         assert message in err
 
 
+def test_out_of_range_inputs_exit_1(capsys):
+    # each of these used to end in a traceback or print inf, NaN or 0.0
+    te = ["--mode", TE210]
+    for argv, message in (
+            (["field", "--radius-mm", "1e300", "--height-mm", "2.54",
+              "--eps-r", "12.85", *te, "--n-z", "1"],
+             "out of floating-point range"),
+            (["field", *G, *te, "--n-r", "3", "--n-phi", "3", "--n-z", "1",
+              "--amplitude", "1e308"], "overflow at amplitude"),
+            (["oracle", "--radius-mm", "1e-300", "--grid", "16"],
+             "out of floating-point range"),
+            (["freq", "--radius-mm", "1e-320", "--eps-r", "12.85", *te],
+             "out of floating-point range"),
+            (["sweep", *G, "--param", "radius", "--start", "1e-300", "--stop",
+              "1e300", "--steps", "3", *te], "out of floating-point range"),
+            (["power", "--pin-w", "1e308", "--sar", "1e-308", "--standard",
+              "ieee", "--mass", "1g"], "out of floating-point range"),
+            (["modes", *G, "--fmax-ghz", "1e300"],
+             "--fmax-ghz 1e+300 is out of floating-point range"),
+            (["design", "--height-mm", "2.54", "--eps-r", "12.85", *te,
+              "--target-ghz", "1e300", "--a-min-mm", "6", "--a-max-mm", "24"],
+             "--target-ghz 1e+300 is out of floating-point range")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert message in err and "Traceback" not in err
+
+
 def _tissue_files(tmp_path):
     rng = np.random.default_rng(3)
     shape = (4, 4, 4)
@@ -345,3 +377,173 @@ def test_module_entry_point():
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["definitely-not-a-subcommand"]) == 2
     capsys.readouterr()
+
+
+# ------------------------------------------------------------------ fuzzing
+
+def _mostly(plausible, odd):
+    """One of `plausible` nine times in ten, else one of `odd`."""
+    return st.integers(0, 9).flatmap(
+        lambda k: st.sampled_from(plausible if k else odd))
+
+
+# plausible values and magnitudes of 1e+-300, which get past parsing and
+# the range checks into the arithmetic, with some that do not
+_NUMBER = st.sampled_from(
+    ("12", "2.54", "12.85", "90", "7", "1", "0.5", "360") * 2
+    + ("1e300", "-1e300", "1e-300", "1e-320", "1e308") * 2
+    + ("0", "-1", "nan", "inf", "-inf", "x"))
+_INDEX = _mostly(("0", "1", "2"), ("-1", "1e300", "2.5", "x"))
+
+_GEOMETRY_DOCS = (
+    '{"radius_mm": 12, "height_mm": 2.54, "sector_deg": 90, "eps_r": 12.85}',
+    '{"radius_mm": 1e300, "height_mm": 2.54, "sector_deg": 90, "eps_r": 12.85}',
+    '{"radius_mm": 1e-320, "height_mm": 1e-320, "sector_deg": 1e-300, '
+    '"eps_r": 1e300}',
+    '{"radius_mm": "12", "height_mm": 2.54, "sector_deg": 90, "eps_r": 12.85}',
+    '{"radius_mm": 12}', "{}", "[1]", "null", "", "{", "[" * 5000)
+
+
+def _tissue_doc(shape=(2, 2, 2), voxel="0.005", p_in="1.0", value="1.0"):
+    n = 8
+    arrays = ", ".join(f'"{key}": [{", ".join([value] * n)}]'
+                       for key in ("sigma", "rho", "e_mag"))
+    return (f'{{"shape": {list(shape)}, "voxel_m": {voxel}, '
+            f'"p_in_w": {p_in}, {arrays}}}')
+
+
+_TISSUE_DOCS = (
+    _tissue_doc(value="1000.0"), _tissue_doc(value="NaN"),
+    _tissue_doc(value="1e400"), _tissue_doc(value="-1"),
+    _tissue_doc(shape=(1e300, 1, 1)), _tissue_doc(shape=(2, 2, -2)),
+    _tissue_doc(voxel="1e300"), _tissue_doc(voxel="1e-320"),
+    _tissue_doc(p_in="0"), '{"shape": "abc"}', '{"shape": [2, 2, 2]}',
+    "{}", "[1]", "null", "", "{", "[" * 5000)
+_SIDECARS = ('{"shape": [2, 2, 2], "voxel_m": 0.005, "p_in_w": 1.0}',
+             '{"shape": [2, 2, 2], "voxel_m": 1e300, "p_in_w": 1e-320}',
+             '{"shape": [1e300, 1, 1], "voxel_m": 0.005, "p_in_w": 1.0}',
+             '{"shape": [2, 2]}', "[]", "", "{")
+
+
+def _tissue_csv(rows):
+    return "index,sigma,rho,e_mag\n" + "".join(
+        f"{k},{row}\n" for k, row in enumerate(rows))
+
+
+_TISSUE_CSVS = (_tissue_csv(["1.0,1000.0,5.0"] * 8),
+                _tissue_csv(["1.0,1000.0,inf"] * 8),
+                _tissue_csv(["1e400,1000.0,5.0"] * 8),
+                _tissue_csv(["nan,1e-320,5.0"] * 8),
+                _tissue_csv(["1.0,1000.0"] * 8),
+                _tissue_csv(["x,y,z"] * 8),
+                "1.7,1.0,1000.0,5.0\n", "inf,1.0,1000.0,5.0\n", "", "\n,,,\n")
+
+
+@st.composite
+def _argv(draw):
+    """One sectordra command line, with the files it reads; values mix
+    plausible and extreme magnitudes, and every size stays small except a
+    drawn cap, which must be rejected. Returns (argv, files, capped)."""
+    cmd = draw(st.sampled_from(("freq", "modes", "field", "oracle", "sar",
+                                "power", "sweep", "design")))
+    argv, files, capped = [cmd], {}, False
+
+    def flag(name, values, required=True):
+        # name=value, so that argparse reads -1e300 as a value
+        if required or draw(st.integers(0, 15)):
+            argv.append(f"{name}={draw(values)}")
+
+    def mode():
+        family = draw(_mostly(("TE", "EH"), ("XX",)))
+        order = draw(st.sampled_from(("v", "m")))
+        value = draw(_mostly(("0", "1", "2", "2.5"), ("-1", "1e300", "nan"))
+                     if order == "v" else _INDEX)
+        n = draw(_mostly(("1", "2", "3"), ("0", "1e300", "2.5", "x")))
+        return f"{family}:{order}={value},n={n},p={draw(_INDEX)}"
+
+    if cmd not in ("sar", "power"):
+        if not draw(st.integers(0, 3)):
+            files["geom.json"] = draw(_mostly(_GEOMETRY_DOCS[:1],
+                                              _GEOMETRY_DOCS[1:]))
+            argv.extend(("--geometry", "geom.json"))
+        else:
+            for name in ("--radius-mm", "--height-mm", "--sector-deg",
+                         "--eps-r"):
+                flag(name, _NUMBER, required=False)
+    if cmd in ("freq", "field", "design"):
+        argv.append(f"--mode={mode()}")
+    if cmd == "modes":
+        flag("--fmax-ghz", _NUMBER)
+        for name in ("--m-max", "--n-max", "--p-max"):
+            flag(name, _INDEX)
+    elif cmd == "field":
+        for name in ("--n-r", "--n-phi", "--n-z"):
+            size = draw(_mostly(("2", "3", "4"), ("0", "1", "100000")))
+            capped |= size == "100000"
+            argv.append(f"{name}={size}")
+        flag("--amplitude", _NUMBER)
+    elif cmd == "oracle":
+        grid = draw(st.sampled_from(("15", "16", "20", "513")))
+        count = draw(st.sampled_from(("0", "1", "2", "3", "51")))
+        capped = grid == "513" or count == "51"
+        argv.extend((f"--grid={grid}", f"--count={count}"))
+    elif cmd == "sar":
+        argv.extend(("--mass", draw(st.sampled_from(("1g", "10g")))))
+        if draw(st.booleans()):
+            files["tissue.json"] = draw(_mostly(_TISSUE_DOCS[:1],
+                                                _TISSUE_DOCS[1:]))
+            argv.extend(("--tissue", "tissue.json"))
+        else:
+            files["tissue.csv"] = draw(_mostly(_TISSUE_CSVS[:1],
+                                               _TISSUE_CSVS[1:]))
+            files["sidecar.json"] = draw(_mostly(_SIDECARS[:1],
+                                                 _SIDECARS[1:]))
+            argv.extend(("--tissue-csv", "tissue.csv",
+                         "--sidecar", "sidecar.json"))
+    elif cmd == "power":
+        flag("--pin-w", _NUMBER)
+        flag("--sar", _NUMBER)
+        argv.extend(("--standard", draw(st.sampled_from(("ieee", "ecc"))),
+                     "--mass", draw(st.sampled_from(("1g", "10g"))),
+                     "--kind", draw(st.sampled_from(("average", "peak")))))
+    elif cmd == "sweep":
+        steps = draw(_mostly(("2", "3"), ("0", "1", "10001")))
+        capped = steps == "10001"
+        param = draw(st.sampled_from(("radius", "height", "eps_r",
+                                      "sector_angle")))
+        argv.extend(("--param", param, f"--steps={steps}"))
+        flag("--start", _NUMBER)
+        flag("--stop", _NUMBER)
+        for _ in range(draw(st.integers(1, 2))):
+            argv.append(f"--mode={mode()}")
+    elif cmd == "design":
+        for name in ("--target-ghz", "--a-min-mm", "--a-max-mm"):
+            flag(name, _NUMBER)
+    formats = ("csv", "json", "svg") if cmd in ("field", "sweep") else \
+        ("csv", "json")
+    argv.extend(("--format", draw(st.sampled_from(formats))))
+    return argv, files, capped
+
+
+_NON_FINITE = re.compile(r"\b(?:inf|nan|infinity)\b", re.IGNORECASE)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argv())
+def test_fuzzed_command_lines_exit_cleanly(tmp_path, case):
+    argv, files, capped = case
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 10.0
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if capped:
+        assert code != 0
+    if argv[0] in ("freq", "modes", "sweep", "design", "power"):
+        assert not _NON_FINITE.search(out.getvalue())

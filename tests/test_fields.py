@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -16,6 +17,7 @@ from sectordra import (
     sample_grid,
     wavenumbers,
 )
+from sectordra import fields
 from sectordra.fields import CSV_COLUMNS
 
 from oracles import helmholtz_residual
@@ -135,6 +137,20 @@ def test_grid_count_validation(table1):
         sample_grid(table1, _mode(2.0, 1, 1), 65, 64, 64)
 
 
+def test_overflowing_grids_are_rejected(table1):
+    # k_r^2 underflowed to zero (ZeroDivisionError), and an amplitude whose
+    # components overflow to inf and NaN
+    huge = SectorGeometry(a=1e297, h=table1.h, phi0=table1.phi0,
+                          eps_r=table1.eps_r)
+    with pytest.raises(ValueError, match="out of floating-point range"):
+        sample_grid(huge, _mode(2.0), 3, 3, 1)
+    with pytest.raises(ValueError, match=r"overflow at amplitude 1e\+308"):
+        sample_grid(table1, _mode(2.0), 3, 3, 1, amplitude=1e308)
+    grid = sample_grid(table1, _mode(2.0, 1, 1), 3, 3, 2, amplitude=1e290)
+    for comp in (grid.E_r, grid.E_phi, grid.H_r, grid.H_phi, grid.H_z):
+        assert np.isfinite(comp).all()
+
+
 def test_csv_export_shape(table1):
     grid = sample_grid(table1, _mode(2.0), 3, 3, 9)
     doc = export_grid(grid, "csv")
@@ -161,7 +177,37 @@ def _csv_row_loop(grid):
     return "\n".join(lines) + "\n"
 
 
+def _json_dumps(grid):
+    # the whole-document json.dumps the plane-wise export replaced, kept as
+    # reference
+    comps = {}
+    for name, arr in zip(("Er", "Ephi", "Ez", "Hr", "Hphi", "Hz"),
+                         (grid.E_r, grid.E_phi, grid.E_z,
+                          grid.H_r, grid.H_phi, grid.H_z)):
+        flat = arr.transpose(2, 1, 0).ravel()
+        comps[name] = {"re": flat.real.tolist(), "im": flat.imag.tolist()}
+    mode = grid.mode
+    return json.dumps({
+        "geometry": {"radius_m": grid.geometry.a, "height_m": grid.geometry.h,
+                     "sector_rad": grid.geometry.phi0,
+                     "eps_r": grid.geometry.eps_r},
+        "mode": {"family": mode.family.value, "v": mode.v, "n": mode.n,
+                 "p": mode.p, "m": mode.m},
+        "shape": list(grid.shape),
+        "amplitude": grid.amplitude,
+        "axes": {"r_m": grid.r.tolist(), "phi_rad": grid.phi.tolist(),
+                 "z_m": grid.z.tolist()},
+        "components": comps,
+    })
+
+
+def _assert_exports_match_references(grid):
+    for fmt, reference in (("csv", _csv_row_loop), ("json", _json_dumps)):
+        assert export_grid(grid, fmt).encode() == reference(grid).encode()
+
+
 def test_csv_matches_row_loop(table1):
+    # the JSON export is held to its json.dumps reference on the same grids
     te = (ModeSpec.derived(ModeFamily.TE, m, n, p, table1.phi0)
           for m, n, p in ((2, 1, 0), (2, 1, 1), (1, 2, 2), (1, 1, 0)))
     eh = ModeSpec.explicit(ModeFamily.EH, 1.0, 1, 1)
@@ -170,7 +216,7 @@ def test_csv_matches_row_loop(table1):
         grid = sample_grid(table1, mode, *shape, amplitude=1.75)
         expected = _csv_row_loop(grid)
         assert "-0.0," in expected  # the sign of zero must survive as well
-        assert export_grid(grid, "csv").encode() == expected.encode()
+        _assert_exports_match_references(grid)
 
 
 def test_csv_matches_row_loop_on_special_values(table1):
@@ -186,7 +232,63 @@ def test_csv_matches_row_loop_on_special_values(table1):
     expected = _csv_row_loop(grid)
     for text in ("nan", "inf", "-inf", ",-0.0,-0.0,"):
         assert text in expected
-    assert export_grid(grid, "csv").encode() == expected.encode()
+    for text in ("NaN", "-Infinity", "-0.0"):
+        assert text in _json_dumps(grid)
+    _assert_exports_match_references(grid)
+    # a loaded grid may have no nodes along an axis: empty planes add no text
+    for shape in ([0, 3, 2], [4, 3, 0]):
+        empty = dict(doc, shape=shape, axes={
+            key: [0.0] * count
+            for key, count in zip(("r_m", "phi_rad", "z_m"), shape)})
+        empty["components"] = {name: {"re": [], "im": []} for name in comps}
+        _assert_exports_match_references(load_grid_json(json.dumps(empty)))
+
+
+def test_repeated_planes_are_formatted_once(table1, monkeypatch):
+    # a p = 0 mode does not vary along z, so each part is formatted once
+    calls = []
+    for name in ("_csv_column", "_json_items"):
+        real = getattr(fields, name)
+        monkeypatch.setattr(fields, name,
+                            lambda part, real=real: calls.append(1) or real(part))
+    grid = sample_grid(table1, _mode(2.0), 5, 4, 6)
+    for fmt in ("csv", "json"):
+        calls.clear()
+        export_grid(grid, fmt)
+        assert len(calls) == 12  # six components, real and imaginary parts
+
+
+def _with_planes(grid, edit):
+    comps = {name: getattr(grid, name).copy()
+             for name in ("E_r", "E_phi", "E_z", "H_r", "H_phi", "H_z")}
+    edit(comps)
+    return dataclasses.replace(grid, **comps)
+
+
+def test_only_a_bitwise_equal_previous_plane_is_reused(table1):
+    # plane 2 equals plane 0 but not plane 1, so it is formatted anew
+    def plane_2_from_0(comps):
+        for comp in comps.values():
+            comp[:, :, 2] = comp[:, :, 0]
+
+    grid = _with_planes(sample_grid(table1, _mode(2.0, 1, 1), 5, 4, 4),
+                        plane_2_from_0)
+    assert grid.H_z[:, :, 2].tobytes() != grid.H_z[:, :, 1].tobytes()
+    _assert_exports_match_references(grid)
+
+    # planes that differ only in the sign of one zero, in a part with
+    # nonzero entries (H_z on the axis) and in the all-zero E_z
+    def flip_zero_signs(comps):
+        hz = comps["H_z"][0, 1, 1]
+        assert hz.real == 0.0
+        comps["H_z"][0, 1, 1] = complex(-hz.real, hz.imag)
+        comps["E_z"][2, 3, 2] = complex(-0.0, 0.0)
+
+    plain = sample_grid(table1, _mode(2.0), 5, 4, 3)
+    grid = _with_planes(plain, flip_zero_signs)
+    for fmt in ("csv", "json"):
+        assert export_grid(grid, fmt) != export_grid(plain, fmt)
+    _assert_exports_match_references(grid)
 
 
 def test_csv_and_json_agree(table1):
@@ -222,6 +324,14 @@ def test_load_grid_json_rejects_malformed_documents(table1):
     with pytest.raises(ValueError, match="nests too deeply"):
         load_grid_json("[" * 100_000 + "]" * 100_000)
     doc = json.loads(export_grid(sample_grid(table1, _mode(2.0), 3, 3, 2), "json"))
+    # an axis longer or shorter than the shape says (the export would drop
+    # or fail on the planes, rows or columns that do not match)
+    for key in ("r_m", "z_m"):
+        for values in (doc["axes"][key] + [0.5], doc["axes"][key][:-1]):
+            bad = json.loads(json.dumps(doc))
+            bad["axes"][key] = values
+            with pytest.raises(ValueError, match="axes hold"):
+                load_grid_json(json.dumps(bad))
     del doc["axes"]
     with pytest.raises(ValueError, match="missing key 'axes'"):
         load_grid_json(json.dumps(doc))

@@ -111,6 +111,26 @@ def test_eps_quadrupling_halves_frequency(table1):
     assert f4 == pytest.approx(f1 / 2.0, rel=1e-12)
 
 
+def test_out_of_range_wavenumbers_are_rejected(table1):
+    # k_r^2 underflowing, k overflowing through k_r, and through k_z; the
+    # frequency used to read 0.0 or inf
+    te211 = ModeSpec.explicit(ModeFamily.TE, 2.0, 1, 1)
+    for a, h in ((1e297, table1.h), (1e-160, table1.h), (1e-323, table1.h),
+                 (table1.a, 1e-323)):
+        geom = SectorGeometry(a=a, h=h, phi0=table1.phi0, eps_r=table1.eps_r)
+        with pytest.raises(ValueError, match="out of floating-point range"):
+            wavenumbers(geom, te211)
+        with pytest.raises(ValueError, match="out of floating-point range"):
+            resonant_frequency(geom, te211)
+    # inside the range the 1/a scaling holds, even at eps_r = 1e300
+    te210 = ModeSpec.explicit(ModeFamily.TE, 2.0, 1, 0)
+    f1 = resonant_frequency(SectorGeometry(a=1.0, h=1.0, phi0=table1.phi0,
+                                           eps_r=1e300), te210)
+    for a in (1e150, 1e-150):
+        geom = SectorGeometry(a=a, h=1.0, phi0=table1.phi0, eps_r=1e300)
+        assert resonant_frequency(geom, te210) == pytest.approx(f1 / a, rel=1e-14)
+
+
 def test_mode_geometry_mismatch(table1):
     # a derived mode carries its source sector angle along
     other = ModeSpec.derived(ModeFamily.TE, 1, 1, 0, math.pi / 3.0)

@@ -92,6 +92,25 @@ def test_deterministic_results():
     assert fd_transverse_eigs(problem, 3) == fd_transverse_eigs(problem, 3)
 
 
+def test_out_of_range_operators_are_rejected():
+    # radii whose cell areas underflow or overflow, and sectors so thin that
+    # the operator overflows, cannot be factorized, or is so ill-conditioned
+    # that rounding swamps its smallest eigenvalues (1e-5 read 2.4007 for
+    # 2.4033, 1e-60 read 3e-52)
+    for a, phi0 in ((1e-303, math.pi / 2.0), (1e-160, math.pi / 2.0),
+                    (1e300, math.pi / 2.0), (1.0, 1e-200), (1.0, 1e-80),
+                    (1.0, 1e-60), (1.0, 1e-5)):
+        with pytest.raises(ValueError):
+            fd_transverse_eigs(FDProblem(a=a, phi0=phi0, n_r=16, n_phi=16), 2)
+    # inside the range the 1/a scaling holds
+    unit = fd_transverse_eigs(FDProblem(a=1.0, phi0=math.pi / 2.0, n_r=16,
+                                        n_phi=16), 2)
+    for a in (1e150, 1e-150):
+        got = fd_transverse_eigs(FDProblem(a=a, phi0=math.pi / 2.0, n_r=16,
+                                           n_phi=16), 2)
+        np.testing.assert_allclose(np.multiply(got, a), unit, rtol=1e-12)
+
+
 def test_radius_scaling():
     # k_t scales as 1/a for a fixed cross-section shape
     small = FDProblem(a=1.0, phi0=math.pi / 2.0, n_r=32, n_phi=32)

@@ -69,6 +69,14 @@ def test_power_budget_anchor():
         max_allowed_power(1.0, -2.0, limit)
 
 
+def test_power_budget_out_of_range_is_rejected():
+    # the ratio used to come out as inf, or as 0.0
+    limit = limit_lookup("ieee", "1g")
+    for p_in, sar in ((1e308, 1e-308), (1e-308, 1e308)):
+        with pytest.raises(ValueError, match="out of floating-point range"):
+            max_allowed_power(p_in, sar, limit)
+
+
 def test_budget_scales_linearly_in_pin():
     limit = limit_lookup("ieee", "10g")
     assert max_allowed_power(2.0, 53.3, limit) == \
