@@ -148,35 +148,25 @@ def solve_radius(base: SectorGeometry, mode: ModeSpec, target_f_hz: float,
     resonates at target_f_hz, within [a_min, a_max].
 
     Raises ValueError when the target is not a positive finite frequency,
-    when the bracket does not straddle the target or the frequency fails to
-    decrease across it, and when the target lies at or below the axial
-    cutoff of the mode.
+    when it lies at or below the axial cutoff of the mode, and when the
+    radius that reaches it lies outside the bracket.
     """
     if not (0.0 < a_min < a_max):
         raise ValueError(f"need 0 < a_min < a_max, got [{a_min}, {a_max}]")
     if not (target_f_hz > 0.0 and math.isfinite(target_f_hz)):
         raise ValueError(
             f"target frequency must be positive and finite, got {target_f_hz}")
-
-    def at(a: float) -> tuple[SectorGeometry, ModeSpec]:
-        geom = SectorGeometry(a=a, h=base.h, phi0=base.phi0, eps_r=base.eps_r)
-        return geom, _mode_at(mode, geom)
-
-    f_lo = resonant_frequency(*at(a_min))   # small radius: the high end
-    f_hi = resonant_frequency(*at(a_max))
-    if f_lo <= f_hi:
-        raise ValueError(
-            f"frequency is not decreasing over [{a_min}, {a_max}]: "
-            f"f({a_min}) = {f_lo}, f({a_max}) = {f_hi}")
-    if not (f_hi <= target_f_hz <= f_lo):
-        raise ValueError(
-            f"target {target_f_hz} Hz is outside [{f_hi}, {f_lo}] Hz "
-            f"reached on radii [{a_min}, {a_max}]")
     # at a = 1 m the transverse wavenumbers are X_vn and v themselves
-    wn = wavenumbers(*at(1.0))
+    geom = SectorGeometry(a=1.0, h=base.h, phi0=base.phi0, eps_r=base.eps_r)
+    wn = wavenumbers(geom, _mode_at(mode, geom))
     k_t = 2.0 * math.pi * target_f_hz * math.sqrt(base.eps_r) / C_LIGHT
     if k_t <= wn.k_z:
         raise ValueError(
             f"target {target_f_hz} Hz is at or below the axial cutoff of the "
             f"mode (k = {k_t} rad/m, k_z = {wn.k_z} rad/m)")
-    return math.hypot(wn.k_r, wn.k_phi) / math.sqrt(k_t * k_t - wn.k_z * wn.k_z)
+    a = math.hypot(wn.k_r, wn.k_phi) / math.sqrt(k_t * k_t - wn.k_z * wn.k_z)
+    if not (a_min <= a <= a_max):
+        raise ValueError(
+            f"target {target_f_hz} Hz needs radius {a} m, outside the "
+            f"bracket [{a_min}, {a_max}]")
+    return a

@@ -13,17 +13,18 @@ closed-form model claims, and this module computes it without touching the
 Bessel routines it is meant to validate.
 
 The weighted operator is symmetrized with the polar cell areas, so all
-eigenvalues are real and positive. The smallest ones come from ARPACK's
-shift-invert Lanczos about zero (scipy.sparse.linalg.eigsh; Lehoucq,
-Sorensen & Yang, ARPACK Users' Guide, SIAM 1998), started from a seeded
-vector so results are deterministic.
+eigenvalues are real and positive. On the tensor grid it separates as in
+the fast Poisson solvers (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
+1970): the DCT-II cosines diagonalize its azimuthal part, the cell-centered
+Neumann second difference, and split it into one symmetric tridiagonal
+radial problem per cosine. LAPACK's deterministic MRRR routine solves each
+in O(n_r) per eigenpair (Dhillon & Parlett, Linear Algebra Appl. 387, 2004).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,8 +33,7 @@ from .modal import ModeFamily, ModeSpec, SectorGeometry, wavenumbers
 
 __all__ = ["FDProblem", "CompareRow", "fd_transverse_eigs", "compare_modes"]
 
-_SEED = 20240817
-# nodes per grid axis: 7 eigenpairs at 512^2 take 6 s, 560 MB on 2 vCPUs
+# nodes per grid axis: 7 eigenpairs at 512^2 take 0.3 s, 145 MB on 2 vCPUs
 _MAX_GRID = 512
 # analytic-vs-FD pairs per compare_modes call
 _MAX_COUNT = 50
@@ -41,10 +41,10 @@ _MAX_COUNT = 50
 # symmetric, so some eigenvalue of B lies that close to lam, relatively
 # (Parlett, The Symmetric Eigenvalue Problem, ch. 4), which bounds the
 # rounding error of the solve. Sectors of 0.01 rad and wider pass up to
-# 512^2 (worst 5.7e-4 at 0.01 rad and 512^2, 8.7e-6 at 128^2); thinner
-# ones make B so ill-conditioned that rounding swamps the smallest
-# eigenvalues (at 1e-5 rad and 16^2 the residual is 3e-2 and k_t 2.4007
-# for 2.4033).
+# 512^2 (worst 1.8e-4 at 0.01 rad and 512^2, 2.8e-6 at 128^2); in thinner
+# ones the azimuthal couplings of B, of order 1/phi0^2, carry rounding
+# errors that swamp its smallest eigenvalues (at 1e-5 rad and 16^2 the
+# residual is 2.8e-2).
 _MAX_RESIDUAL = 1e-3
 
 
@@ -77,6 +77,21 @@ class FDProblem:
                 raise ValueError(f"{name} must be at most {_MAX_GRID}, got {count}")
 
 
+# g_r[i] couples rings i and i + 1, radial[i] sums ring i's radial couplings
+# (the Dirichlet arc's in the last ring), g_phi[i] couples azimuthal neighbours
+# in ring i, w[i] is a ring-i cell's area; the callers check them for overflow
+@np.errstate(all="ignore")
+def _coefficients(problem: FDProblem) -> tuple[np.ndarray, ...]:
+    dr = problem.a / problem.n_r
+    dphi = problem.phi0 / problem.n_phi
+    r = (np.arange(problem.n_r) + 0.5) * dr
+    g_r = (np.arange(1, problem.n_r) * dr) * dphi / dr
+    radial = np.insert(g_r, 0, 0.0) + np.append(g_r, 0.0)
+    radial[-1] += problem.a * dphi / (dr / 2.0)
+    return g_r, radial, dr / (r * dphi), r * dr * dphi
+
+
+@np.errstate(all="ignore")
 def _assemble(problem: FDProblem) -> scipy.sparse.csc_matrix:
     """Area-weighted negative Laplacian, symmetrized to B = D^-1 M D^-1.
 
@@ -89,87 +104,94 @@ def _assemble(problem: FDProblem) -> scipy.sparse.csc_matrix:
     import scipy.sparse
 
     n_r, n_phi = problem.n_r, problem.n_phi
-    dr = problem.a / n_r
-    dphi = problem.phi0 / n_phi
-    r = (np.arange(n_r) + 0.5) * dr
-
-    n = n_r * n_phi
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    idx = np.arange(n).reshape(n_r, n_phi)
-    diag = np.zeros((n_r, n_phi))
-
-    # radial couplings through interior faces at r = (i+1) dr
-    g_r = (np.arange(1, n_r) * dr) * dphi / dr
-    for i in range(n_r - 1):
-        g = g_r[i]
-        diag[i, :] += g
-        diag[i + 1, :] += g
-        rows.append(idx[i, :])
-        cols.append(idx[i + 1, :])
-        vals.append(np.full(n_phi, -g))
-    # Dirichlet arc: value fixed to zero half a cell beyond the last node
-    diag[n_r - 1, :] += problem.a * dphi / (dr / 2.0)
-    # azimuthal couplings; Neumann faces contribute no flux
-    g_phi = dr / (r * dphi)
-    for j in range(n_phi - 1):
-        diag[:, j] += g_phi
-        diag[:, j + 1] += g_phi
-        rows.append(idx[:, j])
-        cols.append(idx[:, j + 1])
-        vals.append(-g_phi)
-
-    rows_a = np.concatenate(rows)
-    cols_a = np.concatenate(cols)
-    vals_a = np.concatenate(vals)
-    m = scipy.sparse.coo_matrix(
-        (np.concatenate([vals_a, vals_a, diag.ravel()]),
-         (np.concatenate([rows_a, cols_a, np.arange(n)]),
-          np.concatenate([cols_a, rows_a, np.arange(n)]))),
-        shape=(n, n)).tocsc()
-    w = np.repeat(r * dr * dphi, n_phi)
+    g_r, radial, g_phi, w = _coefficients(problem)
+    # the Neumann faces at phi = 0 and phi0 carry no flux, so the first and
+    # last cell of a ring have one azimuthal coupling, the others two
+    diag = np.repeat((radial + g_phi)[:, None], n_phi, axis=1)
+    diag[:, 1:-1] += g_phi[:, None]
+    idx = np.arange(n_r * n_phi).reshape(n_r, n_phi)
+    # couplings across radial faces (ring i to i + 1), then azimuthal ones
+    lo = np.concatenate([idx[:-1].ravel(), idx[:, :-1].ravel()])
+    hi = np.concatenate([idx[1:].ravel(), idx[:, 1:].ravel()])
+    off = np.concatenate([np.repeat(-g_r, n_phi), np.repeat(-g_phi, n_phi - 1)])
+    b = scipy.sparse.coo_matrix(
+        (np.concatenate([off, off, diag.ravel()]),
+         (np.concatenate([lo, hi, idx.ravel()]),
+          np.concatenate([hi, lo, idx.ravel()]))),
+        shape=(idx.size, idx.size)).tocsc()
+    # scale M to B in place, each entry rounded as (d_i m_ij) d_j
+    d_inv = np.repeat(1.0 / np.sqrt(w), n_phi)
+    b.data = d_inv[b.indices] * b.data * np.repeat(d_inv, np.diff(b.indptr))
     # cell areas that underflow to zero or overflow (a radius near the ends
-    # of the float range) are refused before they are inverted
-    b = None
-    if w.min() > 0.0 and math.isfinite(w.max()):
-        d_inv = scipy.sparse.diags(1.0 / np.sqrt(w))
-        b = (d_inv @ m @ d_inv).tocsc()
-    if b is None or not np.isfinite(b.data).all():
+    # of the float range) are refused too, and B keeps a factor 4 of headroom
+    # for the tridiagonal blocks of _smallest, whose diagonals reach twice B's
+    if not (w.min() > 0.0 and math.isfinite(w.max())
+            and np.isfinite(4.0 * b.data).all()):
         raise ValueError(f"radius {problem.a} m and sector angle "
                          f"{problem.phi0} put the FD operator out of "
                          "floating-point range")
     return b
 
 
-def _smallest(b: scipy.sparse.csc_matrix, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The `count` smallest eigenpairs of B, ascending, by ARPACK shift-invert
-    Lanczos about zero from a seeded start vector."""
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+def _smallest(problem: FDProblem, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `count` smallest eigenpairs of B, ascending. Block j of B under
+    the cosines q_j is W^-1/2 (A_r + mu_j diag(g_phi)) W^-1/2, mu_j = 4
+    sin^2(pi j / (2 n_phi)); its eigenvector y gives y (x) q_j / |q_j|."""
+    import scipy.linalg
 
-    v0 = np.random.default_rng(_SEED).standard_normal(b.shape[0])
-    try:
-        lam, vec = eigsh(b, k=count, sigma=0.0, v0=v0)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"shift-invert Lanczos converged {len(exc.eigenvalues)} of "
-            f"{count} eigenpairs") from None
-    except RuntimeError as exc:
-        # a factorization that rounding made singular, or an ARPACK breakdown
-        raise ValueError(f"the FD operator is too ill-conditioned to solve: "
-                         f"{exc}") from None
-    order = np.argsort(lam)
-    return lam[order], vec.T[order]
+    g_r, radial, g_phi, w = _coefficients(problem)
+    off = -g_r / (np.sqrt(w[:-1]) * np.sqrt(w[1:]))
+    lam, y, mode = np.empty(0), np.empty((0, problem.n_r)), np.empty(0, int)
+    for j in range(problem.n_phi):
+        mu = 4.0 * math.sin(math.pi * j / (2.0 * problem.n_phi)) ** 2
+        try:
+            lam_j, y_j = scipy.linalg.eigh_tridiagonal(
+                (radial + mu * g_phi) / w, off, select="i",
+                select_range=(0, min(count, problem.n_r) - 1),
+                lapack_driver="stemr")
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"radial eigensolve of azimuthal mode {j} "
+                                   f"failed: {exc}") from None
+        # mu_j rises with j and g_phi >= 0, so by Weyl no later block has a
+        # smaller eigenvalue than this one
+        if lam.size == count and lam_j[0] > lam[-1]:
+            break
+        keep = np.argsort(np.append(lam, lam_j), kind="stable")[:count]
+        lam = np.append(lam, lam_j)[keep]
+        y = np.vstack([y, y_j.T])[keep]
+        mode = np.append(mode, np.full(lam_j.size, j))[keep]
+    q = np.cos(np.pi * np.outer(mode, np.arange(problem.n_phi) + 0.5)
+               / problem.n_phi)
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    return lam, (y[:, :, None] * q[:, None, :]).reshape(count, -1)
 
 
-@lru_cache(maxsize=8)
-def _solve(problem: FDProblem, count: int) -> tuple[tuple[float, ...], np.ndarray]:
+def fd_transverse_eigs(problem: FDProblem, count: int) -> list[float]:
+    """The `count` smallest transverse wavenumbers k_t (rad/m), ascending.
+
+    `count` must be below n_r * n_phi. Deterministic for fixed inputs;
+    raises ConvergenceError if LAPACK fails to converge on a radial
+    problem, and ValueError if the operator leaves floating-point range or
+    rounding leaves an eigenpair residual above 1e-3 of its eigenvalue.
+    """
+    if not is_index(count, 1):
+        raise ValueError(f"count must be a positive integer, got {count}")
+    return _fd_eigenpairs(problem, int(count))[0]
+
+
+def _fd_eigenpairs(problem: FDProblem, count: int) -> tuple[list[float], np.ndarray]:
+    """k_t values plus eigenvectors reshaped to (count, n_r, n_phi)."""
     b = _assemble(problem)
-    n = b.shape[0]
-    if count >= n:
+    if count >= (n := b.shape[0]):
         raise ValueError(f"requested {count} eigenvalues from a {n}-dim operator")
-    lam, vec = _smallest(b, count)
-    residual = np.linalg.norm(b @ vec.T / lam - vec.T, axis=0)
+    lam, vec = _smallest(problem, count)
+    # in place, to hold one n x count temporary; B's entries near the float
+    # range make it inf or nan, which the check below refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        misfit = b @ vec.T
+        misfit /= lam
+        misfit -= vec.T
+        residual = np.linalg.norm(misfit, axis=0)
     if not np.all(residual <= _MAX_RESIDUAL):
         raise ValueError(
             f"rounding swamps the FD eigenvalues of radius {problem.a} m and "
@@ -178,27 +200,6 @@ def _solve(problem: FDProblem, count: int) -> tuple[tuple[float, ...], np.ndarra
     if lam[0] <= 0.0 or np.any(np.diff(lam) < 0.0):
         raise ConvergenceError("symmetrized spectrum is not positive ascending; "
                                "assembly bug")
-    vec.setflags(write=False)
-    return tuple(float(x) for x in lam), vec
-
-
-def fd_transverse_eigs(problem: FDProblem, count: int) -> list[float]:
-    """The `count` smallest transverse wavenumbers k_t (rad/m), ascending.
-
-    `count` must be below n_r * n_phi. Deterministic for fixed inputs;
-    raises ConvergenceError if the Lanczos iteration fails to settle, and
-    ValueError if the operator leaves floating-point range or rounding
-    leaves an eigenpair residual above 1e-3 of its eigenvalue.
-    """
-    if not is_index(count, 1):
-        raise ValueError(f"count must be a positive integer, got {count}")
-    lam, _ = _solve(problem, int(count))
-    return [math.sqrt(x) for x in lam]
-
-
-def _fd_eigenpairs(problem: FDProblem, count: int) -> tuple[list[float], np.ndarray]:
-    """k_t values plus eigenvectors reshaped to (count, n_r, n_phi)."""
-    lam, vec = _solve(problem, count)
     return ([math.sqrt(x) for x in lam],
             vec.reshape(count, problem.n_r, problem.n_phi))
 
@@ -221,22 +222,20 @@ def compare_modes(geom: SectorGeometry, count: int, grid: int) -> list[CompareRo
     azimuthally varying modes the antenna model targets), takes the `count`
     smallest k_r = X_vn/a, and pairs each with the nearest FD eigenvalue of
     the same cross-section. Relative errors are reported against the
-    analytic value. `count` is capped at 50: at grid 512 that took 148 s
-    and 1.36 GB peak on a 2-vCPU VM, at grid 64 about 4 s.
+    analytic value. `count` is capped at 50: at grid 512 that takes 7 s
+    and 530 MB peak on a 2-vCPU VM, at grid 64 about 3 s, most of it in
+    the analytic side's Bessel zeros.
     """
     if not is_index(count, 1):
         raise ValueError(f"count must be a positive integer, got {count}")
     if count > _MAX_COUNT:
         raise ValueError(f"count must be at most {_MAX_COUNT}, got {count}")
     problem = FDProblem(a=geom.a, phi0=geom.phi0, n_r=grid, n_phi=grid)
-    span = count + 4
-    candidates = []
-    for m in range(1, span + 1):
-        for n in range(1, span + 1):
-            mode = ModeSpec.derived(ModeFamily.TE, m, n, 0, geom.phi0)
-            candidates.append((wavenumbers(geom, mode).k_r, m, n))
-    candidates.sort()
-    targets = candidates[:count]
+    span = range(1, count + 5)
+    targets = sorted(
+        (wavenumbers(geom, ModeSpec.derived(ModeFamily.TE, m, n, 0,
+                                            geom.phi0)).k_r, m, n)
+        for m in span for n in span)[:count]
 
     fd_count = count + 4
     fd = fd_transverse_eigs(problem, fd_count)

@@ -142,3 +142,44 @@ def averaged_sar_brute(sigma: np.ndarray, rho: np.ndarray, e_mag: np.ndarray,
                     best = avg
                     best_idx = lin
     return best, best_idx
+
+
+def fd_operator_loop(a: float, phi0: float, n_r: int, n_phi: int):
+    """The symmetrized FD operator B = D^-1 M D^-1 assembled face by face.
+
+    The reference for the vectorized assembly: each cell's diagonal sums its
+    radial faces outward, then the Dirichlet arc (last ring), then its
+    azimuthal faces in order, exactly as this loop visits them.
+    """
+    import scipy.sparse
+
+    dr = a / n_r
+    dphi = phi0 / n_phi
+    r = (np.arange(n_r) + 0.5) * dr
+    n = n_r * n_phi
+    rows, cols, vals = [], [], []
+    idx = np.arange(n).reshape(n_r, n_phi)
+    diag = np.zeros((n_r, n_phi))
+    g_r = (np.arange(1, n_r) * dr) * dphi / dr
+    for i in range(n_r - 1):
+        diag[i, :] += g_r[i]
+        diag[i + 1, :] += g_r[i]
+        rows.append(idx[i, :])
+        cols.append(idx[i + 1, :])
+        vals.append(np.full(n_phi, -g_r[i]))
+    diag[n_r - 1, :] += a * dphi / (dr / 2.0)
+    g_phi = dr / (r * dphi)
+    for j in range(n_phi - 1):
+        diag[:, j] += g_phi
+        diag[:, j + 1] += g_phi
+        rows.append(idx[:, j])
+        cols.append(idx[:, j + 1])
+        vals.append(-g_phi)
+    rows_a, cols_a, vals_a = (np.concatenate(x) for x in (rows, cols, vals))
+    m = scipy.sparse.coo_matrix(
+        (np.concatenate([vals_a, vals_a, diag.ravel()]),
+         (np.concatenate([rows_a, cols_a, np.arange(n)]),
+          np.concatenate([cols_a, rows_a, np.arange(n)]))),
+        shape=(n, n)).tocsc()
+    d_inv = scipy.sparse.diags(1.0 / np.sqrt(np.repeat(r * dr * dphi, n_phi)))
+    return (d_inv @ m @ d_inv).tocsc()

@@ -332,6 +332,41 @@ def test_design_bad_bracket(capsys):
     assert code == 1 and "outside" in err
 
 
+def test_design_huge_bracket(capsys):
+    # the bracket is checked on the closed-form radius, so a far end whose
+    # frequency would leave the float range does not matter
+    code, out, _ = run(capsys, "design", "--height-mm", "2.54", "--eps-r",
+                       "12.85", "--mode", TE210, "--target-ghz", "6.117",
+                       "--a-min-mm", "6", "--a-max-mm", "1e300")
+    assert code == 0
+    assert float(out.splitlines()[1]) == pytest.approx(12.0, rel=1e-3)
+
+
+_DESIGN = ["design", "--height-mm", "2.54", "--eps-r", "12.85", "--mode",
+           TE210, "--target-ghz", "6.117"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["freq", "--radius-mm", "5e-324", "--eps-r", "12.85", "--mode", TE210],
+     "--radius-mm 5e-324 is out of floating-point range"),
+    (["freq", "--radius-mm", "12", "--height-mm", "5e-324", "--eps-r",
+      "12.85", "--mode", TE210],
+     "--height-mm 5e-324 is out of floating-point range"),
+    (["freq", "--radius-mm", "12", "--sector-deg", "1e308", "--eps-r",
+      "12.85", "--mode", TE210],
+     "--sector-deg must be in (0, 360], got 1e+308"),
+    ([*_DESIGN, "--a-min-mm", "5e-324", "--a-max-mm", "24"],
+     "--a-min-mm 5e-324 is out of floating-point range"),
+    ([*_DESIGN, "--a-min-mm", "6", "--a-max-mm", "inf"],
+     "--a-max-mm must be positive and finite, got inf")],
+    ids=["radius", "height", "sector", "a-min", "a-max"])
+def test_unit_flags_name_the_typed_value(capsys, argv, message):
+    # not the meters or radians the library would see: 5e-324 mm is 0.0 m
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(message)
+
+
 def test_design_rejects_nan_target(capsys):
     code, out, err = run(capsys, "design", "--height-mm", "2.54", "--eps-r",
                          "12.85", "--mode", TE210, "--target-ghz", "nan",

@@ -152,6 +152,16 @@ def test_solve_radius_bracket_errors(table1):
         solve_radius(table1, TE210, -1.0, 0.006, 0.024)
 
 
+def test_solve_radius_extreme_bracket_ends(table1):
+    # only the closed-form radius is checked against the bracket; the
+    # frequency at a far end (1e297 m, 1e-320 m) is never evaluated
+    for a_min, a_max in ((0.006, 1e297), (1e-320, 0.024), (1e-320, 1e297)):
+        a = solve_radius(table1, TE210, 6.117e9, a_min, a_max)
+        assert a == pytest.approx(0.012, rel=1e-3)
+    with pytest.raises(ValueError, match="outside"):
+        solve_radius(table1, TE210, 6.117e9, 0.013, 1e297)
+
+
 @pytest.mark.parametrize("target", [math.nan, math.inf, 0.0])
 def test_solve_radius_rejects_non_finite_target(table1, target):
     with pytest.raises(ValueError,

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
 from sectordra import (
     FDProblem,
@@ -14,6 +13,8 @@ from sectordra import (
 )
 from sectordra.errors import ConvergenceError
 from sectordra.oracle import _assemble, _fd_eigenpairs
+
+from oracles import fd_operator_loop
 
 # analytic transverse spectrum of the unit quarter disk: conducting faces
 # admit even azimuthal orders only, the arc pins H_z to zero
@@ -34,7 +35,7 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         fd_transverse_eigs(FDProblem(a=1.0, phi0=math.pi / 2.0,
                                      n_r=32, n_phi=32), 0)
-    # shift-invert Lanczos needs count < n
+    # the smallest count eigenpairs of an n-dim operator need count < n
     with pytest.raises(ValueError, match="from a 256-dim operator"):
         fd_transverse_eigs(FDProblem(a=1.0, phi0=math.pi / 2.0,
                                      n_r=16, n_phi=16), 256)
@@ -53,13 +54,54 @@ def test_lanczos_matches_dense_eigh(grid, phi0):
 
 
 def test_arpack_failure_is_convergence_error(monkeypatch):
+    # a LAPACK failure on a radial problem is a ConvergenceError, not a crash
     def fail(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence(
-            "ARPACK error -1: No convergence", np.zeros(1), np.zeros((289, 1)))
+        raise np.linalg.LinAlgError("stemr (eigh_tridiagonal) did not converge")
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
-    with pytest.raises(ConvergenceError, match="converged 1 of 3 eigenpairs"):
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+    with pytest.raises(ConvergenceError, match="azimuthal mode 0 failed"):
         fd_transverse_eigs(FDProblem(a=1.0, phi0=1.0, n_r=17, n_phi=17), 3)
+
+
+@pytest.mark.parametrize("n_r, n_phi", [(16, 40), (40, 16), (17, 23)])
+@pytest.mark.parametrize("phi0", [0.3, math.pi / 2.0, 2.0 * math.pi])
+def test_non_square_grids_match_dense_eigh(n_r, n_phi, phi0):
+    # a square grid would hide a transposed ring/azimuth layout
+    problem = FDProblem(a=1.0, phi0=phi0, n_r=n_r, n_phi=n_phi)
+    b = _assemble(problem).toarray()
+    dense = np.sqrt(scipy.linalg.eigh(b, eigvals_only=True))
+    for count in (1, 7, 12, 40):
+        got, vecs = _fd_eigenpairs(problem, count)
+        np.testing.assert_allclose(got, dense[:count], rtol=1e-8, atol=0.0)
+        assert vecs.shape == (count, n_r, n_phi)
+        x = vecs.reshape(count, -1).T
+        np.testing.assert_allclose(x.T @ x, np.eye(count), atol=1e-12)
+        np.testing.assert_allclose(b @ x, x * np.square(got), rtol=0.0,
+                                   atol=1e-9 * max(got) ** 2)
+
+
+@pytest.mark.parametrize("a, phi0, n_r, n_phi", [
+    (1.0, math.pi / 2.0, 16, 16), (0.012, 0.3, 40, 16), (0.012, 0.3, 16, 40),
+    (1e-150, 2.0 * math.pi, 23, 17), (1e150, 1e-5, 17, 23),
+    (0.02, math.pi, 72, 72)])
+def test_assembly_is_bitwise_the_face_loop(a, phi0, n_r, n_phi):
+    got = _assemble(FDProblem(a=a, phi0=phi0, n_r=n_r, n_phi=n_phi))
+    want = fd_operator_loop(a, phi0, n_r, n_phi)
+    for part in ("indptr", "indices", "data"):
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+
+@pytest.mark.parametrize("phi0, count, message", [
+    (1e-100, 2, "too thin for the grid"),
+    # B fits the float range, but with all 16 blocks solved the diagonal of
+    # the last one (about twice B's) would not
+    (5.5e-152, 255, "out of floating-point range")])
+def test_extreme_sectors_are_refused_silently(capfd, phi0, count, message):
+    # nothing, such as a LAPACK DLASCL complaint, reaches stdout or stderr
+    with pytest.raises(ValueError, match=message):
+        fd_transverse_eigs(FDProblem(a=1.0, phi0=phi0, n_r=16, n_phi=16),
+                           count)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_eigenvalues_cover_even_order_zeros(fd_quarter):
