@@ -389,20 +389,26 @@ def _cmd_power(args) -> None:
     _emit(_render(["p_max_w"], rows, args.format), args.output)
 
 
-_SWEEP_SCALE = {SweepParameter.RADIUS: 1e-3, SweepParameter.HEIGHT: 1e-3,
-                SweepParameter.EPS_R: 1.0,
-                SweepParameter.SECTOR_ANGLE: math.pi / 180.0}
+# the SI scale and the largest typed value of a swept length or angle;
+# eps_r is swept as typed
+_SWEEP_UNITS = {SweepParameter.RADIUS: (1e-3, math.inf),
+                SweepParameter.HEIGHT: (1e-3, math.inf),
+                SweepParameter.SECTOR_ANGLE: (math.pi / 180.0, 360.0)}
 
 
 def _cmd_sweep(args) -> None:
     geom = _build_geometry(args, need_height=False)
     parameter = SweepParameter(args.param)
-    scale = _SWEEP_SCALE[parameter]
     modes = tuple(_parse_mode(text, geom.phi0) for text in args.mode)
     if parameter is not SweepParameter.HEIGHT:
         _require_height_for(args, modes)
-    spec = SweepSpec(parameter=parameter, start=args.start * scale,
-                     stop=args.stop * scale, steps=args.steps, modes=modes)
+    start, stop = args.start, args.stop
+    if parameter in _SWEEP_UNITS:
+        scale, top = _SWEEP_UNITS[parameter]
+        start = _si(start, "--start", lambda value: value * scale, top)
+        stop = _si(stop, "--stop", lambda value: value * scale, top)
+    spec = SweepSpec(parameter=parameter, start=start, stop=stop,
+                     steps=args.steps, modes=modes)
     rows = sweep(geom, spec)
     if args.format == "svg":
         _emit(_svg_sweep(rows), args.output)

@@ -224,6 +224,12 @@ def _validate_counts(mode: ModeSpec, n_r: int, n_phi: int, n_z: int) -> None:
         raise ValueError("n_z = 1 is only allowed for p = 0 modes")
 
 
+def _check_amplitude(amplitude) -> None:
+    if isinstance(amplitude, bool) or not (amplitude > 0.0
+                                           and math.isfinite(amplitude)):
+        raise ValueError(f"amplitude must be positive, got {amplitude!r}")
+
+
 def sample_grid(geom: SectorGeometry, mode: ModeSpec, n_r: int, n_phi: int,
                 n_z: int, amplitude: float = 1.0) -> FieldGrid:
     """Sample a mode's fields on a uniform grid and normalize them.
@@ -237,8 +243,7 @@ def sample_grid(geom: SectorGeometry, mode: ModeSpec, n_r: int, n_phi: int,
     ValueError.
     """
     _validate_counts(mode, n_r, n_phi, n_z)
-    if not (amplitude > 0.0 and math.isfinite(amplitude)):
-        raise ValueError(f"amplitude must be positive, got {amplitude}")
+    _check_amplitude(amplitude)
     wn = wavenumbers(geom, mode)
     omega = 2.0 * math.pi * resonant_frequency(geom, mode)
     v = mode.v
@@ -437,25 +442,144 @@ def write_grid(grid: FieldGrid, path: str, format: str) -> None:
 def load_grid_json(doc: str) -> FieldGrid:
     """Rebuild a FieldGrid from its JSON document, bitwise identical.
 
-    A document that is not an object, lacks a key, or whose axes do not
-    match its shape raises ValueError.
+    The document is read as json.loads would read it, with one shortcut:
+    a component's "re" or "im" array whose text is one z-plane's text
+    repeated, as `export_grid` writes every plane of a p = 0 mode, is
+    parsed once and tiled. A document that is not an object, lacks a key,
+    holds a non-numeric or boolean geometry or mode number, an amplitude
+    that is not a positive finite number, or axes that do not match its
+    shape raises ValueError.
     """
-    data = json_object(doc, "field grid document")
+    if isinstance(doc, str) and doc.startswith("{", _WS(doc).end()):
+        try:
+            data = _read_document(doc)
+        except RecursionError:  # json's own depth limit decides
+            data = json_object(doc, "field grid document")
+    else:  # not an object: json's own reading and messages
+        data = json_object(doc, "field grid document")
     try:
         return _grid_from_document(data)
     except KeyError as exc:
         raise ValueError(f"field grid document is missing key {exc}") from None
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"field grid document holds a malformed value: {exc}") from None
+
+
+_WS = json.decoder.WHITESPACE.match
+_DECODER = json.JSONDecoder()
+
+
+def _scan_object(doc: str, idx: int, read) -> tuple[dict, int]:
+    """The JSON object that opens at doc[idx], as json would scan it (the
+    last of duplicate keys wins), and the index past it. read(key, i)
+    returns the value at doc[i] and the index past that value."""
+    members = {}
+    idx = _WS(doc, idx + 1).end()
+    if doc.startswith("}", idx):
+        return members, idx + 1
+    while True:
+        if not doc.startswith('"', idx):
+            raise json.JSONDecodeError(
+                "Expecting property name enclosed in double quotes", doc, idx)
+        key, idx = json.decoder.scanstring(doc, idx + 1)
+        idx = _WS(doc, idx).end()
+        if not doc.startswith(":", idx):
+            raise json.JSONDecodeError("Expecting ':' delimiter", doc, idx)
+        members[key], idx = read(key, _WS(doc, idx + 1).end())
+        idx = _WS(doc, idx).end()
+        if doc.startswith("}", idx):
+            return members, idx + 1
+        if not doc.startswith(",", idx):
+            raise json.JSONDecodeError("Expecting ',' delimiter", doc, idx)
+        idx = _WS(doc, idx + 1).end()
+
+
+def _read_document(doc: str) -> dict:
+    """json.loads(doc) for a document that opens an object, except that
+    `_read_part` reads the "re" and "im" arrays under "components" with
+    the "shape" seen before them."""
+    shape = None
+
+    def top(key: str, idx: int):
+        nonlocal shape
+        if key == "components" and doc.startswith("{", idx):
+            return _scan_object(doc, idx, component)
+        value, end = _DECODER.raw_decode(doc, idx)
+        if key == "shape":
+            shape = value
+        return value, end
+
+    def component(key: str, idx: int):
+        if doc.startswith("{", idx):
+            return _scan_object(doc, idx, part)
+        return _DECODER.raw_decode(doc, idx)
+
+    def part(key: str, idx: int):
+        if key in ("re", "im"):
+            return _read_part(doc, idx, shape)
+        return _DECODER.raw_decode(doc, idx)
+
+    data, end = _scan_object(doc, _WS(doc).end(), top)
+    end = _WS(doc, end).end()
+    if end != len(doc):
+        raise json.JSONDecodeError("Extra data", doc, end)
+    return data
+
+
+def _read_part(doc: str, idx: int, shape) -> tuple[object, int]:
+    """The array at doc[idx] and the index past it. When its text is one
+    plane's text joined n_z times by ", ", that plane is parsed once and
+    tiled. A plane with no '"' or '[' holds no string or nested array, so
+    every ", " in the array text falls between elements, and the tiled
+    plane is what json would read. Any other value is json's."""
+    if (doc.startswith("[", idx) and isinstance(shape, list)
+            and len(shape) == 3
+            and all(type(count) is int and count > 0 for count in shape)):
+        n_r, n_phi, n_z = shape
+        close = doc.find("]", idx)
+        width, rest = divmod(close - idx - 1 - 2 * (n_z - 1), n_z)
+        plane = doc[idx + 1:idx + 1 + width] if width > 0 and not rest else ""
+        if (plane and '"' not in plane and "[" not in plane
+                and doc.startswith(", ".join(itertools.repeat(plane, n_z)),
+                                   idx + 1)):
+            values = _plane_values(plane, n_r * n_phi)
+            if values is not None:
+                return np.tile(values, n_z), close + 1
+    return _DECODER.raw_decode(doc, idx)
+
+
+def _plane_values(text: str, size: int) -> np.ndarray | None:
+    """The floats of one plane's array items, or None unless `text` holds
+    exactly `size` of them and nothing else."""
+    try:
+        values = json.loads(f"[{text}]")
+    except ValueError:
+        return None
+    if len(values) != size or not all(type(x) is float for x in values):
+        return None
+    return np.array(values)
+
+
+def _number(section: dict, key: str):
+    """section[key], refusing a JSON true or false where a number belongs
+    (Python takes a bool for the integer 0 or 1)."""
+    value = section[key]
+    if isinstance(value, bool):
+        raise ValueError(f"field grid document key {key!r} must be a number, "
+                         f"got {value!r}")
+    return value
 
 
 def _grid_from_document(data: dict) -> FieldGrid:
     geo = data["geometry"]
-    geom = SectorGeometry(a=geo["radius_m"], h=geo["height_m"],
-                          phi0=geo["sector_rad"], eps_r=geo["eps_r"])
+    geom = SectorGeometry(a=_number(geo, "radius_m"), h=_number(geo, "height_m"),
+                          phi0=_number(geo, "sector_rad"),
+                          eps_r=_number(geo, "eps_r"))
     md = data["mode"]
-    mode = ModeSpec(family=ModeFamily(md["family"]), v=md["v"], n=md["n"],
-                    p=md["p"], m=md["m"])
+    mode = ModeSpec(family=ModeFamily(md["family"]), v=_number(md, "v"),
+                    n=_number(md, "n"), p=_number(md, "p"), m=_number(md, "m"))
+    amplitude = data["amplitude"]
+    _check_amplitude(amplitude)
     n_r, n_phi, n_z = data["shape"]
     r, phi, z = (np.array(data["axes"][key], dtype=float)
                  for key in ("r_m", "phi_rad", "z_m"))
@@ -482,5 +606,5 @@ def _grid_from_document(data: dict) -> FieldGrid:
         H_r=arrays["Hr"],
         H_phi=arrays["Hphi"],
         H_z=arrays["Hz"],
-        amplitude=data["amplitude"],
+        amplitude=amplitude,
     )

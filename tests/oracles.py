@@ -2,7 +2,9 @@
 
 Everything here is deliberately written against mpmath's arbitrary precision
 floats and avoids importing the package under test, so the production code and
-these oracles can only agree by both being right.
+these oracles can only agree by both being right. The one exception is
+`load_grid_json_reference`, the field grid loader as it was before the
+document reader: it builds the package's own value objects from json.loads.
 """
 
 from __future__ import annotations
@@ -183,3 +185,39 @@ def fd_operator_loop(a: float, phi0: float, n_r: int, n_phi: int):
         shape=(n, n)).tocsc()
     d_inv = scipy.sparse.diags(1.0 / np.sqrt(np.repeat(r * dr * dphi, n_phi)))
     return (d_inv @ m @ d_inv).tocsc()
+
+
+def load_grid_json_reference(doc):
+    """The field grid loader that ran json.loads over the whole document:
+    the reference that `sectordra.load_grid_json` must match on every
+    document it accepts, and in raising ValueError on every one it rejects.
+    It accepts the boolean and non-numeric scalars the loader now refuses."""
+    from sectordra import FieldGrid, ModeFamily, ModeSpec, SectorGeometry
+    from sectordra.errors import json_object
+
+    data = json_object(doc, "field grid document")
+    try:
+        geo = data["geometry"]
+        geom = SectorGeometry(a=geo["radius_m"], h=geo["height_m"],
+                              phi0=geo["sector_rad"], eps_r=geo["eps_r"])
+        md = data["mode"]
+        mode = ModeSpec(family=ModeFamily(md["family"]), v=md["v"],
+                        n=md["n"], p=md["p"], m=md["m"])
+        n_r, n_phi, n_z = data["shape"]
+        r, phi, z = (np.array(data["axes"][key], dtype=float)
+                     for key in ("r_m", "phi_rad", "z_m"))
+        if (len(r), len(phi), len(z)) != (n_r, n_phi, n_z):
+            raise ValueError("axes do not match the shape")
+        arrays = []
+        for name in ("Er", "Ephi", "Ez", "Hr", "Hphi", "Hz"):
+            comp = data["components"][name]
+            flat = np.empty(len(comp["re"]), dtype=complex)
+            flat.real = comp["re"]
+            flat.imag = comp["im"]
+            arrays.append(flat.reshape(n_z, n_phi, n_r).transpose(2, 1, 0))
+        return FieldGrid(geom, mode, r, phi, z, *arrays,
+                         amplitude=data["amplitude"])
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed value: {exc}") from None

@@ -344,6 +344,8 @@ def test_design_huge_bracket(capsys):
 
 _DESIGN = ["design", "--height-mm", "2.54", "--eps-r", "12.85", "--mode",
            TE210, "--target-ghz", "6.117"]
+_SWEEP = ["sweep", "--radius-mm", "12", "--height-mm", "2.54", "--eps-r",
+          "12.85", "--steps", "2", "--mode", TE210, "--param"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -358,8 +360,13 @@ _DESIGN = ["design", "--height-mm", "2.54", "--eps-r", "12.85", "--mode",
     ([*_DESIGN, "--a-min-mm", "5e-324", "--a-max-mm", "24"],
      "--a-min-mm 5e-324 is out of floating-point range"),
     ([*_DESIGN, "--a-min-mm", "6", "--a-max-mm", "inf"],
-     "--a-max-mm must be positive and finite, got inf")],
-    ids=["radius", "height", "sector", "a-min", "a-max"])
+     "--a-max-mm must be positive and finite, got inf"),
+    ([*_SWEEP, "radius", "--start", "5e-324", "--stop", "10"],
+     "--start 5e-324 is out of floating-point range"),
+    ([*_SWEEP, "sector_angle", "--start", "10", "--stop", "1e308"],
+     "--stop must be in (0, 360], got 1e+308")],
+    ids=["radius", "height", "sector", "a-min", "a-max", "sweep-start",
+         "sweep-stop"])
 def test_unit_flags_name_the_typed_value(capsys, argv, message):
     # not the meters or radians the library would see: 5e-324 mm is 0.0 m
     code, out, err = run(capsys, *argv)

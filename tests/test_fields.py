@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sectordra import (
     CylPoint,
@@ -20,7 +21,7 @@ from sectordra import (
 from sectordra import fields
 from sectordra.fields import CSV_COLUMNS
 
-from oracles import helmholtz_residual
+from oracles import helmholtz_residual, load_grid_json_reference
 
 
 def _mode(v, n=1, p=0):
@@ -41,6 +42,9 @@ def test_normalization(table1):
     assert np.max(np.abs(scaled.H_z)) == pytest.approx(2.5, rel=1e-14)
     assert np.allclose(scaled.H_z, 2.5 * grid.H_z, rtol=1e-14, atol=0.0)
     assert np.allclose(scaled.E_phi, 2.5 * grid.E_phi, rtol=1e-14, atol=0.0)
+    # True would pass as 1, and the JSON export would then write true
+    with pytest.raises(ValueError, match="amplitude must be positive"):
+        sample_grid(table1, _mode(2.0), 17, 17, 5, amplitude=True)
 
 
 def test_grid_matches_pointwise_evaluation(table1):
@@ -332,12 +336,180 @@ def test_load_grid_json_rejects_malformed_documents(table1):
             bad["axes"][key] = values
             with pytest.raises(ValueError, match="axes hold"):
                 load_grid_json(json.dumps(bad))
+    # nesting too deep for json inside the object, at the top level and in
+    # a component part
+    deep = "[" * 100_000 + "]" * 100_000
+    for text in (f'{{"a": {deep}}}',
+                 export_grid(sample_grid(table1, _mode(2.0), 3, 3, 2), "json")
+                 .replace('"Hz": {"re": ', f'"Hz": {{"re": {deep}, "re": ')):
+        with pytest.raises(ValueError, match="nests too deeply"):
+            load_grid_json(text)
+    # an integer json reads but no float holds
+    huge = json.dumps(doc).replace('"re": [', f'"re": [{10 ** 400}, ', 1)
+    with pytest.raises(ValueError, match="malformed value"):
+        load_grid_json(huge)
     del doc["axes"]
     with pytest.raises(ValueError, match="missing key 'axes'"):
         load_grid_json(json.dumps(doc))
     doc["geometry"] = 3
     with pytest.raises(ValueError, match="malformed value"):
         load_grid_json(json.dumps(doc))
+
+
+_BAD_SCALARS = [
+    (None, "amplitude", "abc"), (None, "amplitude", None),
+    (None, "amplitude", -1), (None, "amplitude", math.nan),
+    (None, "amplitude", [1]), (None, "amplitude", True),
+    (None, "amplitude", 10 ** 400),
+    ("mode", "v", True), ("mode", "n", True), ("mode", "p", False),
+    ("mode", "m", True), ("geometry", "radius_m", True),
+    ("geometry", "eps_r", True)]
+
+
+@pytest.mark.parametrize("section, key, value", _BAD_SCALARS,
+                         ids=[f"{key}={value!r:.8}" for _, key, value in _BAD_SCALARS])
+def test_load_grid_json_rejects_bad_scalars(table1, section, key, value):
+    # each of these loaded, and export_grid wrote it back
+    doc = json.loads(export_grid(sample_grid(table1, _mode(2.0), 3, 3, 1), "json"))
+    (doc if section is None else doc[section])[key] = value
+    with pytest.raises(ValueError):
+        load_grid_json(json.dumps(doc))
+
+
+def test_repeated_planes_are_parsed_once(table1, monkeypatch):
+    # a part whose planes are all bitwise equal, which is every part of a
+    # p = 0 mode, has its plane parsed once; any other part is read whole
+    # by json
+    calls = []
+    real = fields._plane_values
+    monkeypatch.setattr(fields, "_plane_values",
+                        lambda text, size: calls.append(1) or real(text, size))
+    for p in (0, 1):
+        grid = sample_grid(table1, _mode(2.0, 1, p), 5, 4, 6)
+        repeated = [all(part[:, :, iz].tobytes() == part[:, :, 0].tobytes()
+                        for iz in range(6))
+                    for comp in (grid.E_r, grid.E_phi, grid.E_z, grid.H_r,
+                                 grid.H_phi, grid.H_z)
+                    for part in (comp.real, comp.imag)]
+        calls.clear()
+        back = load_grid_json(export_grid(grid, "json"))
+        assert len(calls) == sum(repeated)
+        assert back.H_z.tobytes() == grid.H_z.tobytes()
+        if p == 0:
+            assert all(repeated)
+        else:
+            assert not repeated[-2]  # the real part of H_z varies along z
+
+
+# ------------------------------------------- load_grid_json against json.loads
+
+_SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 1e-310)
+_PLANE_ITEMS = ("x", [1.0], {}, None, True)
+_NAMES = ("E_r", "E_phi", "E_z", "H_r", "H_phi", "H_z")
+
+
+def _redump(**kwargs):
+    return lambda draw, doc: json.dumps(json.loads(doc), **kwargs)
+
+
+def _components_first(draw, doc):
+    data = json.loads(doc)
+    return json.dumps({"components": data.pop("components"), **data})
+
+
+def _duplicate_key(draw, doc):
+    if draw(st.booleans()):  # a repeated key before the one that wins
+        anchor, extra = draw(st.sampled_from((
+            ('"shape": ', '"shape": [1, 1, 1], '),
+            ('"components": ', '"components": {"Er": 1}, '),
+            ('"re": ', '"re": [0.5], '), ('"im": ', '"im": [], '),
+            ('"amplitude": ', '"amplitude": 2.0, '))))
+        return doc.replace(anchor, extra + anchor, 1)
+    # one that wins, at the end of the document, of "components" or of "Hz"
+    closing, extra = draw(st.sampled_from((
+        (1, ', "shape": [1, 1, 1]'), (1, ', "amplitude": 2.0'),
+        (2, ', "Hz": {"re": [], "im": []}'), (3, ', "re": [0.5]'))))
+    return doc[:-closing] + extra + doc[-closing:]
+
+
+def _plane_item(draw, doc):
+    # one item of a component part, in one plane or in every plane
+    data = json.loads(doc)
+    n_r, n_phi, n_z = data["shape"]
+    part = data["components"][draw(st.sampled_from(("Er", "Ez", "Hz")))][
+        draw(st.sampled_from(("re", "im")))]
+    k = draw(st.integers(0, n_r * n_phi - 1))
+    item = draw(st.sampled_from(_PLANE_ITEMS))
+    planes = range(n_z) if draw(st.booleans()) else [draw(st.integers(0, n_z - 1))]
+    for iz in planes:
+        part[iz * n_r * n_phi + k] = item
+    return json.dumps(data)
+
+
+def _truncate(draw, doc):
+    return doc[:draw(st.integers(0, max(len(doc) - 1, 0)))]
+
+
+def _trailing(draw, doc):
+    return doc + draw(st.sampled_from((" \n", "x", "{}", " 1", ",", "]")))
+
+
+_EDITS = (_redump(indent=1), _redump(separators=(",", ":")),
+          _components_first, _duplicate_key, _plane_item, _truncate,
+          _trailing)
+
+
+@st.composite
+def _grid_documents(draw, geom):
+    p = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        mode = ModeSpec.derived(ModeFamily.TE, draw(st.integers(1, 2)),
+                                draw(st.integers(1, 2)), p, geom.phi0)
+    else:
+        mode = ModeSpec.explicit(ModeFamily.EH, 1.0, 1, p)
+    n_r, n_phi = draw(st.integers(3, 5)), draw(st.integers(2, 4))
+    n_z = draw(st.integers(1 if p == 0 else 2, 5))
+    grid = sample_grid(geom, mode, n_r, n_phi, n_z,
+                       amplitude=draw(st.sampled_from((1.0, 1.75, 3))))
+    comps = {name: getattr(grid, name).copy() for name in _NAMES}
+    for _ in range(draw(st.integers(0, 3))):
+        comp = comps[draw(st.sampled_from(_NAMES))]
+        ir, iphi = draw(st.integers(0, n_r - 1)), draw(st.integers(0, n_phi - 1))
+        value = draw(st.sampled_from(_SPECIAL))
+        value = complex(value, 0.0) if draw(st.booleans()) else complex(0.0, value)
+        iz = slice(None) if draw(st.booleans()) else draw(st.integers(0, n_z - 1))
+        comp[ir, iphi, iz] = value
+    doc = export_grid(dataclasses.replace(grid, **comps), "json")
+    for edit in draw(st.lists(st.sampled_from(_EDITS), max_size=2)):
+        try:
+            doc = edit(draw, doc)
+        except (ValueError, LookupError):
+            pass  # an earlier edit left the document unreadable or too short
+    return doc
+
+
+def _load(loader, doc):
+    try:
+        return loader(doc)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_load_grid_json_matches_json_loads(table1, data):
+    doc = data.draw(_grid_documents(table1))
+    want = _load(load_grid_json_reference, doc)
+    got = _load(load_grid_json, doc)
+    assert (got is None) == (want is None)
+    if want is not None:
+        for name in ("geometry", "mode", "amplitude"):
+            assert repr(getattr(got, name)) == repr(getattr(want, name))
+        for name in ("r", "phi", "z", *_NAMES):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
 
 
 def test_export_rejects_unknown_format(table1):
