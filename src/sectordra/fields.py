@@ -106,26 +106,55 @@ class BoundaryResiduals:
     cap_dhz_dz: float
 
 
-def _vj_over_r(v: float, k_r: float, r: float) -> float:
-    """v * J_v(k_r r) / r with the analytic limit on the axis."""
-    if r > 0.0:
-        return v * bessel_j(v, k_r * r) / r
-    if v == 0.0:
-        return 0.0
-    if v == 1.0:
-        return k_r * 0.5
-    if v > 1.0:
-        return 0.0
-    raise ValueError(
-        f"field diverges on the axis for azimuthal order 0 < v < 1 (v={v}); "
-        "evaluate at r > 0")
+def _components(geom: SectorGeometry, mode: ModeSpec, r: np.ndarray,
+                phi: np.ndarray, z: np.ndarray,
+                amplitude: float | None = None) -> tuple[np.ndarray, ...]:
+    """(E_r, E_phi, E_z, H_r, H_phi, H_z) on the outer product of the node
+    arrays r, phi and z: complex arrays of shape (len(r), len(phi), len(z)).
 
+    The scale is A E = 1, or with an amplitude, such that max |H_z| over
+    the nodes equals it. Nodes on the axis (r = 0) take the limits of the
+    module docstring; for 0 < v < 1 they raise ValueError. A component that
+    overflows is returned as inf or NaN, for the caller to check.
+    """
+    wn = wavenumbers(geom, mode)
+    omega = 2.0 * math.pi * resonant_frequency(geom, mode)
+    v = mode.v
+    kr2 = wn.k_r * wn.k_r
+    on_axis = r == 0.0
+    if 0.0 < v < 1.0 and on_axis.any():
+        raise ValueError(
+            f"field diverges on the axis for azimuthal order 0 < v < 1 (v={v}); "
+            "evaluate at r > 0")
+    x = wn.k_r * r
+    off_axis = np.where(on_axis, 1.0, r)  # the axis nodes take their limits
+    jv = bessel_j(v, x)
+    vj_r = np.where(on_axis, wn.k_r * 0.5 * (v == 1.0), v * jv / off_axis)
+    rjp = np.where(on_axis, 0.0,
+                   x * bessel_j_prime(v, np.where(on_axis, 1.0, x)))
+    cos_v = np.cos(v * phi)
+    sin_v = np.sin(v * phi)
+    cos_z = np.cos(wn.k_z * z)
 
-def _r_jprime(v: float, k_r: float, r: float) -> float:
-    """k_r r * J_v'(k_r r); zero on the axis for every order."""
-    if r == 0.0:
-        return 0.0
-    return k_r * r * bessel_j_prime(v, k_r * r)
+    def outer(radial: np.ndarray, azim: np.ndarray) -> np.ndarray:
+        return radial[:, None, None] * azim[None, :, None] * cos_z[None, None, :]
+
+    h_z = outer(jv, cos_v)
+    scale = 1.0
+    if amplitude is not None:
+        peak = float(np.max(np.abs(h_z)))
+        if not (peak > 0.0 and math.isfinite(peak)):
+            raise ValueError("grid H_z vanishes everywhere; cannot normalize "
+                             "(all radial nodes sit on zeros of J_v)")
+        scale = amplitude / peak
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_r = 1j * omega * MU_0 / kr2 * scale * outer(vj_r, sin_v)
+        e_phi = 1j * omega * MU_0 / kr2 * scale * outer(rjp, cos_v)
+        h_r = -1j * wn.k_z / kr2 * scale * outer(rjp, cos_v)
+        h_phi = 1j * wn.k_z / kr2 * scale * outer(vj_r, sin_v)
+        return (e_r, e_phi, np.zeros_like(e_r), h_r.astype(complex), h_phi,
+                (scale * h_z).astype(complex))
 
 
 def field_at(geom: SectorGeometry, mode: ModeSpec, point: CylPoint) -> FieldSample:
@@ -146,25 +175,9 @@ def field_at(geom: SectorGeometry, mode: ModeSpec, point: CylPoint) -> FieldSamp
         raise ValueError(f"point phi={point.phi} outside [0, {geom.phi0}]")
     if not (0.0 <= point.z <= geom.h):
         raise ValueError(f"point z={point.z} outside [0, {geom.h}]")
-    wn = wavenumbers(geom, mode)
-    omega = 2.0 * math.pi * resonant_frequency(geom, mode)
-    v = mode.v
-    kr2 = wn.k_r * wn.k_r
-    cos_v = math.cos(v * point.phi)
-    sin_v = math.sin(v * point.phi)
-    cos_z = math.cos(wn.k_z * point.z)
-    jv = bessel_j(v, wn.k_r * point.r)
-    vj_r = _vj_over_r(v, wn.k_r, point.r)
-    rjp = _r_jprime(v, wn.k_r, point.r)
-    return FieldSample(
-        at=point,
-        E_r=1j * omega * MU_0 / kr2 * vj_r * sin_v * cos_z,
-        E_phi=1j * omega * MU_0 / kr2 * rjp * cos_v * cos_z,
-        E_z=0.0 + 0.0j,
-        H_r=-1j * wn.k_z / kr2 * rjp * cos_v * cos_z,
-        H_phi=1j * wn.k_z / kr2 * vj_r * sin_v * cos_z,
-        H_z=complex(jv * cos_v * cos_z),
-    )
+    comps = _components(geom, mode, *(np.array([value], dtype=float)
+                                      for value in (point.r, point.phi, point.z)))
+    return FieldSample(point, *(complex(comp[0, 0, 0]) for comp in comps))
 
 
 @dataclass(frozen=True)
@@ -244,53 +257,13 @@ def sample_grid(geom: SectorGeometry, mode: ModeSpec, n_r: int, n_phi: int,
     """
     _validate_counts(mode, n_r, n_phi, n_z)
     _check_amplitude(amplitude)
-    wn = wavenumbers(geom, mode)
-    omega = 2.0 * math.pi * resonant_frequency(geom, mode)
-    v = mode.v
-    kr2 = wn.k_r * wn.k_r
-
     r = np.linspace(0.0, geom.a, n_r)
     phi = np.linspace(0.0, geom.phi0, n_phi)
     z = np.linspace(0.0, geom.h, n_z) if n_z > 1 else np.zeros(1)
-
-    jv = np.array([bessel_j(v, wn.k_r * ri) for ri in r])
-    vj_r = np.array([_vj_over_r(v, wn.k_r, ri) for ri in r])
-    rjp = np.array([_r_jprime(v, wn.k_r, ri) for ri in r])
-    cos_v = np.cos(v * phi)
-    sin_v = np.sin(v * phi)
-    cos_z = np.cos(wn.k_z * z)
-
-    def outer(radial: np.ndarray, azim: np.ndarray) -> np.ndarray:
-        return radial[:, None, None] * azim[None, :, None] * cos_z[None, None, :]
-
-    h_z = outer(jv, cos_v)
-    peak = float(np.max(np.abs(h_z)))
-    if not (peak > 0.0 and math.isfinite(peak)):
-        raise ValueError("grid H_z vanishes everywhere; cannot normalize "
-                         "(all radial nodes sit on zeros of J_v)")
-    scale = amplitude / peak
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        e_r = 1j * omega * MU_0 / kr2 * scale * outer(vj_r, sin_v)
-        e_phi = 1j * omega * MU_0 / kr2 * scale * outer(rjp, cos_v)
-        h_r = -1j * wn.k_z / kr2 * scale * outer(rjp, cos_v)
-        h_phi = 1j * wn.k_z / kr2 * scale * outer(vj_r, sin_v)
-    if not all(np.isfinite(comp).all() for comp in (e_r, e_phi, h_r, h_phi)):
+    comps = _components(geom, mode, r, phi, z, amplitude)
+    if not all(np.isfinite(comp).all() for comp in comps):
         raise ValueError(f"field components overflow at amplitude {amplitude}")
-    return FieldGrid(
-        geometry=geom,
-        mode=mode,
-        r=r,
-        phi=phi,
-        z=z,
-        E_r=e_r,
-        E_phi=e_phi,
-        E_z=np.zeros_like(e_r),
-        H_r=h_r.astype(complex),
-        H_phi=h_phi,
-        H_z=(scale * h_z).astype(complex),
-        amplitude=amplitude,
-    )
+    return FieldGrid(geom, mode, r, phi, z, *comps, amplitude=amplitude)
 
 
 def boundary_residuals(geom: SectorGeometry, mode: ModeSpec,
@@ -305,38 +278,21 @@ def boundary_residuals(geom: SectorGeometry, mode: ModeSpec,
     """
     if not is_index(resolution, 8):
         raise ValueError(f"resolution must be an integer >= 8, got {resolution}")
-    wn = wavenumbers(geom, mode)
-    omega = 2.0 * math.pi * resonant_frequency(geom, mode)
-    v = mode.v
-    kr2 = wn.k_r * wn.k_r
-
     r = np.linspace(0.0, geom.a, resolution)
     phi = np.linspace(0.0, geom.phi0, resolution)
     z = np.linspace(0.0, geom.h, resolution)
-    vj_r = np.array([_vj_over_r(v, wn.k_r, ri) for ri in r])
-    jv = np.array([bessel_j(v, wn.k_r * ri) for ri in r])
-    cos_z = np.cos(wn.k_z * z)
-
     # flat faces phi = 0 and phi = phi0: tangential E is (E_r, E_z), E_z = 0
-    face = 0.0
-    for phi_face in (0.0, geom.phi0):
-        sin_v = math.sin(v * phi_face)
-        e_r = omega * MU_0 / kr2 * np.abs(vj_r[:, None] * sin_v * cos_z[None, :])
-        face = max(face, float(e_r.max()))
-
+    e_r = _components(geom, mode, r, np.array([0.0, geom.phi0]), z)[0]
     # curved wall r = a
-    vj_a = v * bessel_j(v, wn.k_r * geom.a) / geom.a
-    h_phi = wn.k_z / kr2 * np.abs(vj_a * np.sin(v * phi)[:, None] * cos_z[None, :])
-    arc = float(h_phi.max())
-
-    # caps z = 0 and z = h: dH_z/dz = -k_z J_v cos(v phi) sin(k_z z)
-    cap = 0.0
-    for z_face in (0.0, geom.h):
-        dz = wn.k_z * abs(math.sin(wn.k_z * z_face))
-        grad = dz * np.abs(jv[:, None] * np.cos(v * phi)[None, :])
-        cap = max(cap, float(grad.max()))
-
-    return BoundaryResiduals(face_e_tangential=face, arc_h_phi=arc, cap_dhz_dz=cap)
+    h_phi = _components(geom, mode, np.array([geom.a]), phi, z)[4]
+    # caps z = 0 and z = h: H_z is its z = 0 plane times cos(k_z z), so
+    # dH_z/dz = -k_z sin(k_z z) times that plane
+    h_z0 = _components(geom, mode, r, phi, np.zeros(1))[5]
+    k_z = wavenumbers(geom, mode).k_z
+    cap = max(k_z * abs(math.sin(k_z * z_cap)) for z_cap in (0.0, geom.h))
+    return BoundaryResiduals(face_e_tangential=float(np.abs(e_r).max()),
+                             arc_h_phi=float(np.abs(h_phi).max()),
+                             cap_dhz_dz=cap * float(np.abs(h_z0).max()))
 
 
 def _csv_column(part: np.ndarray) -> list[str]:
