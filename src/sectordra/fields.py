@@ -6,16 +6,18 @@ amplitude A E set to 1, the surviving components in cylindrical coordinates
 
     H_z   =            J_v(k_r r) cos(v phi) cos(k_z z)
     E_r   =  j w u v / k_r^2 * J_v(k_r r)/r  * sin(v phi) cos(k_z z)
-    E_phi =  j w u   / k_r^2 * k_r r J_v'(k_r r) cos(v phi) cos(k_z z)
-    H_r   = -j k_z   / k_r^2 * k_r r J_v'(k_r r) cos(v phi) cos(k_z z)
-    H_phi =  j k_z v / k_r^2 * J_v(k_r r)/r  * sin(v phi) cos(k_z z)
+    E_phi =  j w u   / k_r^2 * k_r J_v'(k_r r) cos(v phi) cos(k_z z)
+    H_r   =   -k_z   / k_r^2 * k_r J_v'(k_r r) cos(v phi) sin(k_z z)
+    H_phi =    k_z v / k_r^2 * J_v(k_r r)/r  * sin(v phi) sin(k_z z)
     E_z   =  0
 
-with w = 2 pi f the mode's angular frequency and u the vacuum permeability.
-On the axis the 1/r factors are taken through their analytic limits
-(J_v(x)/x -> 1/2 for v = 1, -> 0 for v > 1; the v = 0 terms carry a factor
-v and vanish outright). For 0 < v < 1 the limit diverges, which is the real
-edge singularity of reentrant sectors, and evaluation at r = 0 is refused.
+with w = 2 pi f the mode's angular frequency and u the vacuum permeability:
+the TE relations E_t = (j w u / k_r^2) z x grad_t H_z and
+H_t = (1/k_r^2) grad_t dH_z/dz (Harrington, Time-Harmonic Electromagnetic
+Fields, 1961, ch. 5). On the axis v J_v(k_r r)/r and k_r J_v'(k_r r) share
+one limit: k_r/2 for v = 1, and 0 for v = 0 and v > 1. For 0 < v < 1 both
+diverge, which is the real edge singularity of reentrant sectors, and
+evaluation at r = 0 is refused.
 
 Grids are sampled on uniform nodes with endpoints included and rescaled so
 the largest |H_z| equals the requested amplitude (1 by default).
@@ -126,18 +128,20 @@ def _components(geom: SectorGeometry, mode: ModeSpec, r: np.ndarray,
         raise ValueError(
             f"field diverges on the axis for azimuthal order 0 < v < 1 (v={v}); "
             "evaluate at r > 0")
-    x = wn.k_r * r
-    off_axis = np.where(on_axis, 1.0, r)  # the axis nodes take their limits
-    jv = bessel_j(v, x)
-    vj_r = np.where(on_axis, wn.k_r * 0.5 * (v == 1.0), v * jv / off_axis)
-    rjp = np.where(on_axis, 0.0,
-                   x * bessel_j_prime(v, np.where(on_axis, 1.0, x)))
+    # v J_v(k_r r) / r and k_r J_v'(k_r r) share their limit on the axis
+    axis = wn.k_r * 0.5 * (v == 1.0)
+    r_off = np.where(on_axis, 1.0, r)  # a stand-in radius on the axis
+    jv = bessel_j(v, wn.k_r * r)
+    vj_r = np.where(on_axis, axis, v * jv / r_off)
+    kjp = np.where(on_axis, axis, wn.k_r * bessel_j_prime(v, wn.k_r * r_off))
     cos_v = np.cos(v * phi)
     sin_v = np.sin(v * phi)
     cos_z = np.cos(wn.k_z * z)
+    sin_z = np.sin(wn.k_z * z)
 
-    def outer(radial: np.ndarray, azim: np.ndarray) -> np.ndarray:
-        return radial[:, None, None] * azim[None, :, None] * cos_z[None, None, :]
+    def outer(radial: np.ndarray, azim: np.ndarray,
+              axial: np.ndarray = cos_z) -> np.ndarray:
+        return radial[:, None, None] * azim[None, :, None] * axial[None, None, :]
 
     h_z = outer(jv, cos_v)
     scale = 1.0
@@ -150,11 +154,11 @@ def _components(geom: SectorGeometry, mode: ModeSpec, r: np.ndarray,
 
     with np.errstate(over="ignore", invalid="ignore"):
         e_r = 1j * omega * MU_0 / kr2 * scale * outer(vj_r, sin_v)
-        e_phi = 1j * omega * MU_0 / kr2 * scale * outer(rjp, cos_v)
-        h_r = -1j * wn.k_z / kr2 * scale * outer(rjp, cos_v)
-        h_phi = 1j * wn.k_z / kr2 * scale * outer(vj_r, sin_v)
-        return (e_r, e_phi, np.zeros_like(e_r), h_r.astype(complex), h_phi,
-                (scale * h_z).astype(complex))
+        e_phi = 1j * omega * MU_0 / kr2 * scale * outer(kjp, cos_v)
+        h_r = -wn.k_z / kr2 * scale * outer(kjp, cos_v, sin_z)
+        h_phi = wn.k_z / kr2 * scale * outer(vj_r, sin_v, sin_z)
+        return (e_r, e_phi, np.zeros_like(e_r), h_r.astype(complex),
+                h_phi.astype(complex), (scale * h_z).astype(complex))
 
 
 def field_at(geom: SectorGeometry, mode: ModeSpec, point: CylPoint) -> FieldSample:

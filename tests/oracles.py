@@ -110,6 +110,37 @@ def helmholtz_residual(h_z: np.ndarray, r: np.ndarray, phi: np.ndarray,
     return res_max
 
 
+def curl_div(field, r: float, phi: float, z: float, step: float):
+    """Curl and divergence of a vector field in cylindrical coordinates.
+
+    field(r, phi, z) returns the components (A_r, A_phi, A_z). Every partial
+    derivative is a second-order central difference over a length `step`
+    (an angle of step / r along phi), combined as
+
+        curl_r   = (dA_z/dphi) / r - dA_phi/dz
+        curl_phi = dA_r/dz - dA_z/dr
+        curl_z   = (A_phi + r dA_phi/dr - dA_r/dphi) / r
+        div      = (A_r + r dA_r/dr + dA_phi/dphi) / r + dA_z/dz
+
+    Returns ((curl_r, curl_phi, curl_z), div).
+    """
+    at = (r, phi, z)
+    steps = (step, step / r, step)
+    grad = []  # grad[axis][k]: derivative of component k along axis
+    for axis, h in enumerate(steps):
+        hi = [c + h * (i == axis) for i, c in enumerate(at)]
+        lo = [c - h * (i == axis) for i, c in enumerate(at)]
+        grad.append([(p - q) / (2.0 * h)
+                     for p, q in zip(field(*hi), field(*lo))])
+    (dr_r, dr_phi, dr_z), (dphi_r, dphi_phi, dphi_z), (dz_r, dz_phi, dz_z) = grad
+    a_r, a_phi, _ = field(*at)
+    curl = (dphi_z / r - dz_phi,
+            dz_r - dr_z,
+            (a_phi + r * dr_phi - dphi_r) / r)
+    div = (a_r + r * dr_r + dphi_phi) / r + dz_z
+    return curl, div
+
+
 def averaged_sar_brute(sigma: np.ndarray, rho: np.ndarray, e_mag: np.ndarray,
                        voxel_m: float, mass_target_kg: float):
     """Exhaustive mass-averaged SAR: every center, every cube half-width.

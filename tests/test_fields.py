@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sectordra import (
+    MU_0,
     CylPoint,
     ModeFamily,
     ModeSpec,
@@ -15,13 +16,14 @@ from sectordra import (
     export_grid,
     field_at,
     load_grid_json,
+    resonant_frequency,
     sample_grid,
     wavenumbers,
 )
 from sectordra import fields
 from sectordra.fields import CSV_COLUMNS
 
-from oracles import helmholtz_residual, load_grid_json_reference
+from oracles import curl_div, helmholtz_residual, load_grid_json_reference
 
 
 def _mode(v, n=1, p=0):
@@ -95,6 +97,40 @@ def test_axis_behavior(table1):
     # fractional orders below 1 have no finite axis value
     with pytest.raises(ValueError):
         field_at(table1, _mode(0.5), CylPoint(0.0, 0.3, 0.0))
+
+
+@pytest.mark.parametrize("mode", [
+    ModeSpec.explicit(ModeFamily.EH, 1.0, 1, 0),
+    ModeSpec.explicit(ModeFamily.EH, 1.0, 1, 1),
+    ModeSpec.derived(ModeFamily.TE, 1, 1, 0, math.pi / 2.0),
+    ModeSpec.derived(ModeFamily.TE, 1, 1, 1, math.pi / 2.0),
+], ids=["v1p0", "v1p1", "v2p0", "v2p1"])
+def test_fields_satisfy_faraday_and_gauss(table1, mode):
+    # curl E = -j w u0 H in all three components and div H = 0, by central
+    # differences at interior points. E_phi and H_r once carried an extra
+    # factor r, and H_r and H_phi j cos(k_z z) where sin(k_z z) belongs.
+    omega_mu = 2.0 * math.pi * resonant_frequency(table1, mode) * MU_0
+    wn = wavenumbers(table1, mode)
+
+    def e_field(r, phi, z):
+        s = field_at(table1, mode, CylPoint(r, phi, z))
+        return s.E_r, s.E_phi, s.E_z
+
+    def h_field(r, phi, z):
+        s = field_at(table1, mode, CylPoint(r, phi, z))
+        return s.H_r, s.H_phi, s.H_z
+
+    step = 1e-5 * table1.a
+    for r in (0.25 * table1.a, 0.5 * table1.a, 0.8 * table1.a):
+        for phi in (0.3, 1.1):
+            for z in (0.3 * table1.h, 0.7 * table1.h):
+                h = h_field(r, phi, z)
+                h_norm = max(map(abs, h))
+                curl_e, _ = curl_div(e_field, r, phi, z, step)
+                for curl, h_k in zip(curl_e, h):
+                    assert abs(curl + 1j * omega_mu * h_k) <= 1e-6 * omega_mu * h_norm
+                _, div_h = curl_div(h_field, r, phi, z, step)
+                assert abs(div_h) <= 1e-6 * math.hypot(wn.k_r, wn.k_z) * h_norm
 
 
 def test_boundary_residuals_small(table1):
