@@ -10,9 +10,12 @@ class ConvergenceError(RuntimeError):
 def is_index(value, least: int) -> bool:
     """True for a whole number >= least that a float can hold.
 
-    float() of an int above about 1e308 raises OverflowError; such an index
-    is rejected here, before any arithmetic on it could overflow.
+    A bool is not an index, although Python takes it for 0 or 1. float() of
+    an int above about 1e308 raises OverflowError; such an index is
+    rejected here, before any arithmetic on it could overflow.
     """
+    if isinstance(value, bool):
+        return False
     try:
         return float(value).is_integer() and value >= least
     except OverflowError:

@@ -407,8 +407,9 @@ def load_grid_json(doc: str) -> FieldGrid:
     repeated, as `export_grid` writes every plane of a p = 0 mode, is
     parsed once and tiled. A document that is not an object, lacks a key,
     holds a non-numeric or boolean geometry or mode number, an amplitude
-    that is not a positive finite number, or axes that do not match its
-    shape raises ValueError.
+    that is not a positive finite number, axes that do not match its shape,
+    or a component "re" or "im" array of another length than
+    n_r * n_phi * n_z raises ValueError.
     """
     if isinstance(doc, str) and doc.startswith("{", _WS(doc).end()):
         try:
@@ -520,24 +521,13 @@ def _plane_values(text: str, size: int) -> np.ndarray | None:
     return np.array(values)
 
 
-def _number(section: dict, key: str):
-    """section[key], refusing a JSON true or false where a number belongs
-    (Python takes a bool for the integer 0 or 1)."""
-    value = section[key]
-    if isinstance(value, bool):
-        raise ValueError(f"field grid document key {key!r} must be a number, "
-                         f"got {value!r}")
-    return value
-
-
 def _grid_from_document(data: dict) -> FieldGrid:
     geo = data["geometry"]
-    geom = SectorGeometry(a=_number(geo, "radius_m"), h=_number(geo, "height_m"),
-                          phi0=_number(geo, "sector_rad"),
-                          eps_r=_number(geo, "eps_r"))
+    geom = SectorGeometry(a=geo["radius_m"], h=geo["height_m"],
+                          phi0=geo["sector_rad"], eps_r=geo["eps_r"])
     md = data["mode"]
-    mode = ModeSpec(family=ModeFamily(md["family"]), v=_number(md, "v"),
-                    n=_number(md, "n"), p=_number(md, "p"), m=_number(md, "m"))
+    mode = ModeSpec(family=ModeFamily(md["family"]), v=md["v"], n=md["n"],
+                    p=md["p"], m=md["m"])
     amplitude = data["amplitude"]
     _check_amplitude(amplitude)
     n_r, n_phi, n_z = data["shape"]
@@ -550,9 +540,14 @@ def _grid_from_document(data: dict) -> FieldGrid:
     for name in _COMPONENT_NAMES:
         comp = data["components"][name]
         # filling the parts keeps -0.0; re + 1j * im would turn it into +0.0
-        flat = np.empty(len(comp["re"]), dtype=complex)
-        flat.real = comp["re"]
-        flat.imag = comp["im"]
+        flat = np.empty(n_r * n_phi * n_z, dtype=complex)
+        for half, key in (("real", "re"), ("imag", "im")):
+            part = np.asarray(comp[key], dtype=float)
+            if part.shape != flat.shape:  # numpy would broadcast [0.5] or 7
+                raise ValueError(
+                    f"field grid component {name!r} {key!r} holds "
+                    f"{part.size} values, but the shape is {data['shape']}")
+            setattr(flat, half, part)
         arrays[name] = flat.reshape(n_z, n_phi, n_r).transpose(2, 1, 0)
     return FieldGrid(
         geometry=geom,

@@ -79,6 +79,12 @@ def azimuthal_order(m: int, phi0: float) -> float:
     return m * math.pi / phi0
 
 
+def _refuse_bool(value, what: str) -> None:
+    # Python takes True and False for the numbers 1 and 0
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SectorGeometry:
     """Sector resonator geometry, SI units.
@@ -96,6 +102,8 @@ class SectorGeometry:
     eps_r: float
 
     def __post_init__(self) -> None:
+        for name in ("a", "h", "phi0", "eps_r"):
+            _refuse_bool(getattr(self, name), f"geometry {name}")
         if not (self.a > 0.0 and math.isfinite(self.a)):
             raise ValueError(f"radius must be positive, got {self.a}")
         if not (self.h > 0.0 and math.isfinite(self.h)):
@@ -129,6 +137,7 @@ class ModeSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.family, ModeFamily):
             raise ValueError(f"family must be a ModeFamily, got {self.family!r}")
+        _refuse_bool(self.v, "azimuthal order")
         if not (self.v >= 0.0 and math.isfinite(self.v)):
             raise ValueError(f"azimuthal order must be >= 0, got {self.v}")
         if not is_index(self.n, 1):
@@ -301,8 +310,7 @@ def _require_number(data: dict, key: str) -> float:
 
 def _require_index(data: dict, key: str, what: str, least: int) -> int:
     value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not is_index(value, least):
+    if not isinstance(value, (int, float)) or not is_index(value, least):
         raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)
 

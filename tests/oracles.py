@@ -222,7 +222,7 @@ def load_grid_json_reference(doc):
     """The field grid loader that ran json.loads over the whole document:
     the reference that `sectordra.load_grid_json` must match on every
     document it accepts, and in raising ValueError on every one it rejects.
-    It accepts the boolean and non-numeric scalars the loader now refuses."""
+    It accepts amplitudes the loader refuses."""
     from sectordra import FieldGrid, ModeFamily, ModeSpec, SectorGeometry
     from sectordra.errors import json_object
 
@@ -242,6 +242,9 @@ def load_grid_json_reference(doc):
         arrays = []
         for name in ("Er", "Ephi", "Ez", "Hr", "Hphi", "Hz"):
             comp = data["components"][name]
+            size = n_r * n_phi * n_z
+            if len(comp["re"]) != size or len(comp["im"]) != size:
+                raise ValueError(f"{name} holds the wrong number of values")
             flat = np.empty(len(comp["re"]), dtype=complex)
             flat.real = comp["re"]
             flat.imag = comp["im"]

@@ -2,15 +2,18 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import sectordra
 from sectordra import (
     ModeFamily,
     ModeSpec,
@@ -408,9 +411,11 @@ def test_output_file(capsys, tmp_path):
 
 
 def test_module_entry_point():
+    # the package this suite imports, also where PYTHONPATH is unset
+    src = str(Path(sectordra.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-m", "sectordra", "freq", *G, "--mode", TE210],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0
     assert float(result.stdout.splitlines()[1]) == pytest.approx(6.113,
                                                                  rel=1e-3)

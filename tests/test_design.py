@@ -33,6 +33,10 @@ def test_spec_validation():
             SweepSpec(SweepParameter.RADIUS, 0.008, 0.016, steps, (TE210,))
     assert len(SweepSpec(SweepParameter.RADIUS, 0.008, 0.016, 10_000,
                          (TE210,)).values()) == 10_000
+    # a bool radial index made a sweep of mode n = 1
+    with pytest.raises(ValueError, match="radial index"):
+        SweepSpec(SweepParameter.RADIUS, 0.008, 0.016, 5,
+                  (ModeSpec.derived(ModeFamily.TE, 1, True, 0, math.pi / 2.0),))
     spec = SweepSpec("radius", 0.008, 0.016, 3, (TE210,))
     assert spec.parameter is SweepParameter.RADIUS
     assert spec.values() == [0.008, 0.012, 0.016]

@@ -49,15 +49,16 @@ def test_normalization(table1):
         sample_grid(table1, _mode(2.0), 17, 17, 5, amplitude=True)
 
 
-def test_grid_matches_pointwise_evaluation(table1):
-    mode = _mode(2.0, 1, 1)
+@pytest.mark.parametrize("mode", [_mode(2.0, 1, 1),
+                                  ModeSpec.explicit(ModeFamily.EH, 1.0, 1, 1)])
+def test_grid_matches_pointwise_evaluation(table1, mode):
     grid = sample_grid(table1, mode, 7, 7, 5)
     # undo the grid normalization, then both routes express the same formula
     raw_peak = max(
         abs(field_at(table1, mode, CylPoint(float(r), float(p), float(z))).H_z)
         for r in grid.r for p in grid.phi for z in grid.z)
     scale = 1.0 / raw_peak
-    for ir in (1, 3, 6):
+    for ir in (0, 1, 3, 6):
         for iphi in (0, 2, 5):
             for iz in (0, 2, 4):
                 point = CylPoint(float(grid.r[ir]), float(grid.phi[iphi]),
@@ -97,6 +98,27 @@ def test_axis_behavior(table1):
     # fractional orders below 1 have no finite axis value
     with pytest.raises(ValueError):
         field_at(table1, _mode(0.5), CylPoint(0.0, 0.3, 0.0))
+
+
+def test_axis_limits_match_nearby_points(table1):
+    # every component on the axis equals its value a nanometre away; at
+    # v = 1 the transverse components are nonzero there
+    point = CylPoint(0.0, 0.3, 0.3 * table1.h)
+    near = dataclasses.replace(point, r=1e-9)
+    names = ("E_r", "E_phi", "E_z", "H_r", "H_phi", "H_z")
+    for v in (0.0, 1.0, 2.0, 3.0):
+        mode = ModeSpec.explicit(ModeFamily.EH, v, 1, 1)
+        on, off = field_at(table1, mode, point), field_at(table1, mode, near)
+        inside = field_at(table1, mode, dataclasses.replace(point, r=0.004))
+        size = max(abs(getattr(inside, name)) for name in names)
+        for name in names:
+            assert abs(getattr(on, name) - getattr(off, name)) <= 1e-6 * size
+        if v == 1.0:
+            for name in ("E_r", "E_phi", "H_r", "H_phi"):
+                assert abs(getattr(on, name)) > 1e-3 * size
+    # 0 < v < 1 diverges on the axis: the whole grid is refused
+    with pytest.raises(ValueError, match="diverges on the axis"):
+        sample_grid(table1, _mode(0.5), 5, 5, 1)
 
 
 @pytest.mark.parametrize("mode", [
@@ -141,6 +163,21 @@ def test_boundary_residuals_small(table1):
             assert res.face_e_tangential < 1e-9
             assert res.arc_h_phi < 1e-9
             assert res.cap_dhz_dz < 1e-9
+
+
+def test_boundary_residual_reports_the_face_field(table1):
+    # v = 1 on a quarter sector leaves E_r, which carries sin(v phi), whole
+    # on the face phi = phi0; a residual that always read 0 would pass the
+    # test above
+    mode = ModeSpec.explicit(ModeFamily.EH, 1.0, 1, 1)
+    res = boundary_residuals(table1, mode, resolution=16)
+    face = max(abs(field_at(table1, mode, CylPoint(float(r), table1.phi0,
+                                                   float(z))).E_r)
+               for r in np.linspace(0.0, table1.a, 16)
+               for z in np.linspace(0.0, table1.h, 16))
+    assert face > 1.0
+    assert res.face_e_tangential == pytest.approx(face, rel=1e-12)
+    assert res.arc_h_phi < 1e-9 and res.cap_dhz_dz < 1e-9
 
 
 def test_boundary_residual_resolution_validation(table1):
@@ -356,6 +393,16 @@ def test_json_round_trip_bitwise(table1):
     for name in ("E_r", "E_phi", "E_z", "H_r", "H_phi", "H_z"):
         # bytes, not values: -0.0 and +0.0 compare equal but differ in sign
         assert getattr(back, name).tobytes() == getattr(grid, name).tobytes()
+
+
+def test_load_grid_json_rejects_parts_of_the_wrong_length(table1):
+    # numpy broadcast these into every imaginary part of H_z
+    doc = json.loads(export_grid(sample_grid(table1, _mode(2.0), 3, 3, 2), "json"))
+    for value in ([0.5], 7, doc["components"]["Hz"]["im"] + [0.5]):
+        bad = json.loads(json.dumps(doc))
+        bad["components"]["Hz"]["im"] = value
+        with pytest.raises(ValueError, match="'Hz' 'im' holds"):
+            load_grid_json(json.dumps(bad))
 
 
 def test_load_grid_json_rejects_malformed_documents(table1):

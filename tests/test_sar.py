@@ -315,6 +315,11 @@ def test_file_error_paths():
             "e_mag": [10.0] * 1728}
     with pytest.raises(ValueError, match="shape must be three positive integers"):
         tissue_grid_from_json(json.dumps(cube))
+    # true is not the integer 1: this loaded as a 1 x 1 x 1 grid
+    one = {"shape": [True, True, True], "voxel_m": 0.002, "p_in_w": 1.0,
+           "sigma": [0.5], "rho": [1000.0], "e_mag": [10.0]}
+    with pytest.raises(ValueError, match="shape must be three positive integers"):
+        tissue_grid_from_json(json.dumps(one))
     csv_cube = "".join(f"{k},0.5,1000.0,10.0\n" for k in range(1728))
     for shape in ([12.5, 12, 12], [12, 144], [0, 12, 144], [12, 12, 12, 1]):
         meta = json.dumps({"shape": shape, "voxel_m": 0.002, "p_in_w": 1.0})

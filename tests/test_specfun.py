@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
@@ -82,6 +83,34 @@ def test_argument_validation():
         bessel_zero(1.0, 0)
     with pytest.raises(ValueError):
         bessel_zero(-2.0, 1)
+
+
+def test_array_calls_match_scalar_calls():
+    xs = np.array([0.0, 1e-6, 0.4, 3.0, 11.9, 25.0, 60.0])
+    for v in ORDERS:
+        for f in (bessel_j, bessel_j_prime):
+            # J_v'(0) is only defined here for v = 0 and v = 1
+            args = xs if f is bessel_j or v in (0.0, 1.0) else xs[1:]
+            got = f(v, args)
+            want = [f(v, float(x)) for x in args]
+            assert all(type(w) is float for w in want)
+            assert got.shape == args.shape
+            assert got.tobytes() == np.array(want).tobytes()
+    # orders broadcast against arguments as numpy arrays do
+    table = bessel_j_prime(np.array(ORDERS)[:, None], xs[None, 1:])
+    assert table.tobytes() == np.array(
+        [[bessel_j_prime(v, float(x)) for x in xs[1:]] for v in ORDERS]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_array_calls_refuse_any_bad_element(bad):
+    for f in (bessel_j, bessel_j_prime):
+        with pytest.raises(ValueError):
+            f(2.0, np.array([1.0, bad, 3.0]))
+        with pytest.raises(ValueError):
+            f(np.array([1.0, bad]), 2.0)
+    with pytest.raises(ValueError, match="x=0"):
+        bessel_j_prime(2.0, np.array([1.0, 0.0]))
 
 
 ZERO_CASES = [(0.0, 1), (0.0, 2), (0.0, 3), (1.0, 1), (1.0, 2),
