@@ -134,7 +134,8 @@ def bessel_zero(v: float, n: int, tol: float = 1e-12) -> float:
         ConvergenceError: if the scan or the refinement exhausts its
             iteration budget (indicates a bug, not a user error).
     """
-    _arrays(v, 0.0)
+    if not (v >= 0.0 and math.isfinite(v)):  # a scalar check, cheaper than _arrays
+        raise ValueError(f"bessel order must be finite and >= 0, got {v}")
     if not is_index(n, 1):
         raise ValueError(f"zero index must be a positive integer, got {n}")
     lo, hi = _bracket(v, int(n))
