@@ -39,26 +39,11 @@ def test_geometry_validation():
         SectorGeometry(a=0.01, h=0.01, phi0=7.0, eps_r=10.0)
     with pytest.raises(ValueError):
         SectorGeometry(a=0.01, h=0.01, phi0=1.0, eps_r=0.5)
-
-
-def test_geometry_refuses_bools():
     # Python takes True for 1, so each of these built a geometry
     good = dict(a=0.012, h=0.00254, phi0=math.pi / 2.0, eps_r=12.85)
     for key in good:
         with pytest.raises(ValueError, match=f"geometry {key} must be a number"):
             SectorGeometry(**dict(good, **{key: True}))
-
-
-def test_mode_refuses_bools():
-    for args in ((True, 1, 0), (2.0, True, 0), (2.0, 1, False)):
-        with pytest.raises(ValueError):
-            ModeSpec(ModeFamily.TE, *args)
-    with pytest.raises(ValueError):
-        ModeSpec(ModeFamily.TE, 2.0, 1, 0, m=True)
-    with pytest.raises(ValueError):
-        azimuthal_order(True, math.pi / 2.0)
-    with pytest.raises(ValueError):
-        bessel_zero(1.0, True)
 
 
 def test_mode_validation():
@@ -75,6 +60,16 @@ def test_mode_validation():
         ModeSpec.explicit(ModeFamily.TE, 1.0, 1, 10 ** 400)
     with pytest.raises(ValueError):
         ModeSpec(ModeFamily.TE, 1.0, 1, 0, m=10 ** 400)
+    # nor are bools, which Python takes for 0 and 1
+    for args in ((True, 1, 0), (2.0, True, 0), (2.0, 1, False)):
+        with pytest.raises(ValueError):
+            ModeSpec(ModeFamily.TE, *args)
+    with pytest.raises(ValueError):
+        ModeSpec(ModeFamily.TE, 2.0, 1, 0, m=True)
+    with pytest.raises(ValueError):
+        azimuthal_order(True, math.pi / 2.0)
+    with pytest.raises(ValueError):
+        bessel_zero(1.0, True)
 
 
 def test_te210_anchor(table1):

@@ -79,6 +79,15 @@ def test_argument_validation():
         bessel_j(1.0, -0.5)
     with pytest.raises(ValueError):
         bessel_j(math.nan, 1.0)
+    # one bad element of an array is enough
+    for bad in (-1.0, math.nan, math.inf):
+        for f in (bessel_j, bessel_j_prime):
+            with pytest.raises(ValueError):
+                f(2.0, np.array([1.0, bad, 3.0]))
+            with pytest.raises(ValueError):
+                f(np.array([1.0, bad]), 2.0)
+    with pytest.raises(ValueError, match="x=0"):
+        bessel_j_prime(2.0, np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         bessel_zero(1.0, 0)
     with pytest.raises(ValueError):
@@ -100,17 +109,6 @@ def test_array_calls_match_scalar_calls():
     table = bessel_j_prime(np.array(ORDERS)[:, None], xs[None, 1:])
     assert table.tobytes() == np.array(
         [[bessel_j_prime(v, float(x)) for x in xs[1:]] for v in ORDERS]).tobytes()
-
-
-@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
-def test_array_calls_refuse_any_bad_element(bad):
-    for f in (bessel_j, bessel_j_prime):
-        with pytest.raises(ValueError):
-            f(2.0, np.array([1.0, bad, 3.0]))
-        with pytest.raises(ValueError):
-            f(np.array([1.0, bad]), 2.0)
-    with pytest.raises(ValueError, match="x=0"):
-        bessel_j_prime(2.0, np.array([1.0, 0.0]))
 
 
 ZERO_CASES = [(0.0, 1), (0.0, 2), (0.0, 3), (1.0, 1), (1.0, 2),
