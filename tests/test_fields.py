@@ -128,8 +128,7 @@ def test_axis_limits_match_nearby_points(table1):
 ], ids=["v1p0", "v1p1", "v2p0", "v2p1"])
 def test_fields_satisfy_faraday_and_gauss(table1, mode):
     # curl E = -j w u0 H in all three components and div H = 0, by central
-    # differences at interior points. E_phi and H_r once carried an extra
-    # factor r, and H_r and H_phi j cos(k_z z) where sin(k_z z) belongs.
+    # differences at interior points
     omega_mu = 2.0 * math.pi * resonant_frequency(table1, mode) * MU_0
     wn = wavenumbers(table1, mode)
 
