@@ -25,6 +25,7 @@ the largest |H_z| equals the requested amplitude (1 by default).
 
 from __future__ import annotations
 
+import array
 import itertools
 import json
 import math
@@ -67,9 +68,9 @@ CSV_COLUMNS = (
 _FIELDS = ("E_r", "E_phi", "E_z", "H_r", "H_phi", "H_z")
 _COMPONENT_NAMES = ("Er", "Ephi", "Ez", "Hr", "Hphi", "Hz")
 # nodes per grid (n_r * n_phi * n_z). At 64^3 on a 2-vCPU VM, with 87 MB of
-# process peak before the export: CSV 0.3 s and 176 MB peak at p = 0, 2.0 s
-# and 196 MB at p = 1; JSON 0.2 s and 147 MB at p = 0, 1.5-1.8 s and 167 MB
-# at p = 1
+# process peak before the export: CSV 0.1 s and 160 MB peak at p = 0, 2.0 s
+# and 194 MB at p = 1; JSON 0.1 s and 134 MB at p = 0, 1.9 s and 149 MB at
+# p = 1
 _MAX_NODES = 2**18
 
 
@@ -305,18 +306,41 @@ def _json_items(part: np.ndarray) -> str:
     return json.dumps(part.tolist())[1:-1]
 
 
-def _plane_texts(comp: np.ndarray, half: str, fmt):
+def _repeats(comp: np.ndarray) -> list[list[bool]]:
+    """For the real and for the imaginary half of a component: whether each
+    z-plane is bitwise equal to the plane before it (never the first).
+    Bitwise as tobytes() compares: -0.0 differs from 0.0, and NaNs with
+    equal payloads are equal. Every plane of a p = 0 mode repeats, since
+    its fields do not vary along z."""
+    # a (real, imaginary) pair of uint64 per node, whatever the strides
+    bits = np.asarray(comp, dtype=complex).view(np.dtype((np.uint64, 2)))
+    repeats = np.zeros((comp.shape[2], 2), dtype=bool)
+    repeats[1:] = (bits[:, :, 1:] == bits[:, :, :-1]).all(axis=(0, 1))
+    return repeats.T.tolist()
+
+
+def _plane_texts(comp: np.ndarray, half: str, repeats: list[bool], fmt):
     """fmt of the real or imaginary `half` of each z-plane of a component,
-    flattened phi-major. A plane bitwise equal to the one before it reuses
-    that plane's text: every plane of a p = 0 mode is the same, since its
-    fields do not vary along z."""
-    last_key = last_text = None
-    for iz in range(comp.shape[2]):
-        part = getattr(comp[:, :, iz].T.ravel(), half)
-        key = part.tobytes()
-        if key != last_key:
-            last_key, last_text = key, fmt(part)
-        yield last_text
+    flattened phi-major, or the text of the plane before where `repeats`
+    says the plane is bitwise equal to it."""
+    text = None
+    for iz, repeat in enumerate(repeats):
+        if not repeat:
+            text = fmt(getattr(comp[:, :, iz].T.ravel(), half))
+        yield text
+
+
+def _csv_rows(r_phi: list[str], columns, z_texts: list[str]):
+    """The CSV rows of a run of z-planes that share their 12 component
+    column texts. A single plane takes one row-join pass. In a longer run
+    row i reads r_phi[i] + "," + z + "," + tail[i], so the rows are split
+    around z once, and each plane is one join of its z text."""
+    if len(z_texts) == 1 or not r_phi:
+        return map(",".join, zip(r_phi, itertools.repeat(z_texts[0]), *columns))
+    tails = list(map(",".join, zip(*columns)))
+    pieces = [f"{r_phi[0]},", *map(",{}\n{},".format, tails, r_phi[1:]),
+              f",{tails[-1]}"]
+    return [z.join(pieces) for z in z_texts]
 
 
 def export_grid(grid: FieldGrid, format: str) -> str:
@@ -325,7 +349,11 @@ def export_grid(grid: FieldGrid, format: str) -> str:
     CSV rows run z-major, then phi, then r, under the fixed header
     `CSV_COLUMNS`. The JSON document stores the same samples (flat arrays in
     the same order) and round-trips bitwise through `load_grid_json`. Both
-    format one z-plane at a time and format a repeated plane only once.
+    format one z-plane at a time, and a part of a plane (the real or
+    imaginary half of a component) bitwise equal to the same part of the
+    plane before reuses its text. In the CSV, a run of planes whose parts
+    all repeat has its rows assembled once and each plane's text is one
+    join of its z value; every other plane is assembled row by row.
     """
     comps = [getattr(grid, name) for name in _FIELDS]
     if format == "csv":
@@ -335,12 +363,19 @@ def export_grid(grid: FieldGrid, format: str) -> str:
         r_phi = [f"{r},{phi}" for phi in map(repr, grid.phi.tolist())
                  for r in r_text]
         lines = [",".join(CSV_COLUMNS)]
-        # one z-plane at a time, column by column: zip() assembles the rows
-        parts = [_plane_texts(comp, half, _csv_column)
-                 for comp in comps for half in ("real", "imag")]
-        for z, *columns in zip(grid.z.tolist(), *parts):
-            lines.extend(map(",".join,
-                             zip(r_phi, itertools.repeat(repr(z)), *columns)))
+        parts = [(comp, half, repeats) for comp in comps
+                 for half, repeats in zip(("real", "imag"), _repeats(comp))]
+        # the 12 column texts of each z-plane, one plane at a time
+        planes = zip(*(_plane_texts(*part, _csv_column) for part in parts))
+        z_texts = list(map(repr, grid.z.tolist()))
+        # a run of planes starts at each plane with a part that does not
+        # repeat the plane before
+        flags = zip(*(repeats for *_, repeats in parts))
+        starts = [iz for iz, plane in enumerate(flags) if not all(plane)]
+        for start, stop in zip(starts, [*starts[1:], len(z_texts)]):
+            # the planes of a run share their column texts: keep the last
+            *_, columns = itertools.islice(planes, stop - start)
+            lines.extend(_csv_rows(r_phi, columns, z_texts[start:stop]))
         lines.append("")  # the final newline, without a second copy of the text
         return "\n".join(lines)
     if format == "json":
@@ -368,16 +403,20 @@ def export_grid(grid: FieldGrid, format: str) -> str:
             },
         })
 
-        def array(comp: np.ndarray, half: str) -> str:
+        def items(comp: np.ndarray, half: str, repeats: list[bool]) -> str:
             # flat and z-major to match the CSV; an empty plane has no items
-            planes = _plane_texts(comp, half, _json_items)
-            return "[" + ", ".join(filter(None, planes)) + "]"
+            planes = _plane_texts(comp, half, repeats, _json_items)
+            return ", ".join(filter(None, planes))
 
-        # the components go last, as json.dumps(doc) would place them
-        body = ", ".join(f'"{name}": {{"re": {array(comp, "real")}, '
-                         f'"im": {array(comp, "imag")}}}'
-                         for name, comp in zip(_COMPONENT_NAMES, comps))
-        return f'{head[:-1]}, "components": {{{body}}}}}'
+        # the components go last, as json.dumps(doc) would place them; one
+        # join copies each array's items into the document
+        pieces = [head[:-1], ', "components": {']
+        for name, comp in zip(_COMPONENT_NAMES, comps):
+            real, imag = _repeats(comp)
+            pieces += [f'"{name}": {{"re": [', items(comp, "real", real),
+                       '], "im": [', items(comp, "imag", imag), "]}", ", "]
+        pieces[-1] = "}}"  # close "components" and the document
+        return "".join(pieces)
     raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
 
@@ -401,7 +440,9 @@ def load_grid_json(doc: str) -> FieldGrid:
     holds a non-numeric or boolean geometry or mode number, an amplitude
     that is not a positive finite number, axes that do not match its shape,
     or a component "re" or "im" array of another length than
-    n_r * n_phi * n_z raises ValueError.
+    n_r * n_phi * n_z or with an item that is not a number (null, a
+    string), raises ValueError. Booleans in such an array load as 1.0 and
+    0.0, as float() reads them.
     """
     if isinstance(doc, str) and doc.startswith("{", _WS(doc).end()):
         try:
@@ -489,12 +530,13 @@ def _read_part(doc: str, idx: int, shape) -> tuple[object, int]:
             and len(shape) == 3
             and all(type(count) is int and count > 0 for count in shape)):
         n_r, n_phi, n_z = shape
-        close = doc.find("]", idx)
-        width, rest = divmod(close - idx - 1 - 2 * (n_z - 1), n_z)
-        plane = doc[idx + 1:idx + 1 + width] if width > 0 and not rest else ""
+        start, close = idx + 1, doc.find("]", idx)
+        width, rest = divmod(close - start - 2 * (n_z - 1), n_z)
+        plane = doc[start:start + width] if width > 0 and not rest else ""
+        # every later plane follows a ", " at its place in the array text
         if (plane and '"' not in plane and "[" not in plane
-                and doc.startswith(", ".join(itertools.repeat(plane, n_z)),
-                                   idx + 1)):
+                and all(doc.startswith(f", {plane}", at)
+                        for at in range(start + width, close, width + 2))):
             values = _plane_values(plane, n_r * n_phi)
             if values is not None:
                 return np.tile(values, n_z), close + 1
@@ -503,14 +545,14 @@ def _read_part(doc: str, idx: int, shape) -> tuple[object, int]:
 
 def _plane_values(text: str, size: int) -> np.ndarray | None:
     """The floats of one plane's array items, or None unless `text` holds
-    exactly `size` of them and nothing else."""
+    exactly `size` items and numpy reads them all as floats."""
     try:
-        values = json.loads(f"[{text}]")
+        values = np.array(json.loads(f"[{text}]"))
     except ValueError:
         return None
-    if len(values) != size or not all(type(x) is float for x in values):
+    if values.shape != (size,) or values.dtype != float:
         return None
-    return np.array(values)
+    return values
 
 
 def _grid_from_document(data: dict) -> FieldGrid:
@@ -534,7 +576,13 @@ def _grid_from_document(data: dict) -> FieldGrid:
         # filling the parts keeps -0.0; re + 1j * im would turn it into +0.0
         flat = np.empty(n_r * n_phi * n_z, dtype=complex)
         for half, key in (("real", "re"), ("imag", "im")):
-            part = np.asarray(comp[key], dtype=float)
+            part = comp[key]
+            if isinstance(part, list):
+                # array("d") takes the JSON numbers and booleans, and raises
+                # TypeError at a null or a string, which numpy's float
+                # conversion would read as nan or as the number in it
+                part = np.frombuffer(array.array("d", part))
+            part = np.asarray(part, dtype=float)
             if part.shape != flat.shape:  # numpy would broadcast [0.5] or 7
                 raise ValueError(
                     f"field grid component {name!r} {key!r} holds "

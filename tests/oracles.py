@@ -245,9 +245,13 @@ def load_grid_json_reference(doc):
             size = n_r * n_phi * n_z
             if len(comp["re"]) != size or len(comp["im"]) != size:
                 raise ValueError(f"{name} holds the wrong number of values")
-            flat = np.empty(len(comp["re"]), dtype=complex)
-            flat.real = comp["re"]
-            flat.imag = comp["im"]
+            flat = np.empty(size, dtype=complex)
+            for half, key in (("real", "re"), ("imag", "im")):
+                # numpy would read null as nan and a string as its number;
+                # a bool is an int, and loads as 1.0 or 0.0
+                if not all(isinstance(x, (int, float)) for x in comp[key]):
+                    raise ValueError(f"{name} holds an item that is not a number")
+                setattr(flat, half, comp[key])
             arrays.append(flat.reshape(n_z, n_phi, n_r).transpose(2, 1, 0))
         return FieldGrid(geom, mode, r, phi, z, *arrays,
                          amplitude=data["amplitude"])

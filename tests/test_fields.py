@@ -319,18 +319,37 @@ def test_csv_matches_row_loop_on_special_values(table1):
         _assert_exports_match_references(load_grid_json(json.dumps(empty)))
 
 
+def _record_csv_runs(monkeypatch):
+    # the number of z-planes in each run whose CSV rows are assembled once
+    runs = []
+    real = fields._csv_rows
+    monkeypatch.setattr(
+        fields, "_csv_rows",
+        lambda r_phi, columns, z_texts: runs.append(len(z_texts))
+        or real(r_phi, columns, z_texts))
+    return runs
+
+
 def test_repeated_planes_are_formatted_once(table1, monkeypatch):
-    # a p = 0 mode does not vary along z, so each part is formatted once
+    # a p = 0 mode does not vary along z, so each part is formatted once,
+    # and the CSV rows of one plane are assembled: each plane is then one
+    # join of its z text
     calls = []
     for name in ("_csv_column", "_json_items"):
         real = getattr(fields, name)
         monkeypatch.setattr(fields, name,
                             lambda part, real=real: calls.append(1) or real(part))
+    runs = _record_csv_runs(monkeypatch)
     grid = sample_grid(table1, _mode(2.0), 5, 4, 6)
     for fmt in ("csv", "json"):
         calls.clear()
         export_grid(grid, fmt)
         assert len(calls) == 12  # six components, real and imaginary parts
+    assert runs == [6]
+    # no plane of a p = 1 mode repeats: each has its rows assembled
+    runs.clear()
+    export_grid(sample_grid(table1, _mode(2.0, 1, 1), 5, 4, 6), "csv")
+    assert runs == [1] * 6
 
 
 def _with_planes(grid, edit):
@@ -364,6 +383,58 @@ def test_only_a_bitwise_equal_previous_plane_is_reused(table1):
     for fmt in ("csv", "json"):
         assert export_grid(grid, fmt) != export_grid(plain, fmt)
     _assert_exports_match_references(grid)
+
+
+def _sliced(grid, ir=slice(None), iphi=slice(None), iz=slice(None)):
+    return dataclasses.replace(
+        grid, r=grid.r[ir], phi=grid.phi[iphi], z=grid.z[iz],
+        **{name: getattr(grid, name)[ir, iphi, iz] for name in _NAMES})
+
+
+def test_plane_runs_match_the_references(table1, monkeypatch):
+    runs = _record_csv_runs(monkeypatch)
+    varied = sample_grid(table1, _mode(2.0, 1, 1), 4, 3, 5)
+
+    # planes A, A, B, B, A in every part, then in two components only,
+    # where the parts repeat but no whole plane does
+    def a_a_b_b_a(comps, names=_NAMES):
+        for name in names:
+            comp = comps[name]
+            comp[:, :, 1], comp[:, :, 3] = comp[:, :, 0], comp[:, :, 2]
+            comp[:, :, 4] = comp[:, :, 0]
+
+    for names, expected in ((_NAMES, [2, 2, 1]), (("E_r", "H_z"), [1] * 5)):
+        runs.clear()
+        _assert_exports_match_references(
+            _with_planes(varied, lambda comps: a_a_b_b_a(comps, names)))
+        assert runs == expected
+
+    plain = sample_grid(table1, _mode(2.0), 4, 3, 5)
+
+    # planes that differ only in the sign of one zero
+    def flip_zero_sign(comps):
+        comps["E_z"].real[1, 2, 2] = -0.0
+
+    # NaN in every plane, with one payload (those planes still repeat); a
+    # NaN with another payload than the one in the plane before does not
+    def nans(comps):
+        comps["H_z"].imag[1, 2, :] = math.nan
+        payload = np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(float)
+        comps["E_r"].real[0, 0, 3] = payload[0]
+        comps["E_r"].real[0, 0, 4] = math.nan
+
+    for edit, expected in ((flip_zero_sign, [2, 1, 2]), (nans, [3, 1, 1])):
+        runs.clear()
+        grid = _with_planes(plain, edit)
+        _assert_exports_match_references(grid)
+        assert runs == expected
+    assert "nan" in export_grid(grid, "csv")
+
+    # no node along r or phi, and a single z-plane
+    for grid in (plain, varied):
+        for empty in (_sliced(grid, ir=slice(0)), _sliced(grid, iphi=slice(0)),
+                      _sliced(grid, iz=slice(1))):
+            _assert_exports_match_references(empty)
 
 
 def test_csv_and_json_agree(table1):
@@ -414,6 +485,18 @@ def test_load_grid_json_rejects_malformed_documents(table1):
         bad["components"]["Hz"]["im"] = value
         with pytest.raises(ValueError, match="'Hz' 'im' holds"):
             load_grid_json(json.dumps(bad))
+    # a null or a numeric string in a component part, in one plane or in
+    # both (which the loader would otherwise tile): numpy read them as nan
+    # and 1.5
+    for item in (None, "1.5"):
+        for planes in ([0], [0, 1]):
+            bad = json.loads(json.dumps(doc))
+            for iz in planes:
+                bad["components"]["Hz"]["re"][iz * 9 + 4] = item
+            text = json.dumps(bad)
+            for loader in (load_grid_json, load_grid_json_reference):
+                with pytest.raises(ValueError, match="not a number|malformed value"):
+                    loader(text)
     # nesting too deep for json inside the object, at the top level and in
     # a component part
     deep = "[" * 100_000 + "]" * 100_000
