@@ -23,6 +23,7 @@ in O(n_r) per eigenpair (Dhillon & Parlett, Linear Algebra Appl. 387, 2004).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -33,10 +34,12 @@ from .modal import ModeFamily, ModeSpec, SectorGeometry, wavenumbers
 
 __all__ = ["FDProblem", "CompareRow", "fd_transverse_eigs", "compare_modes"]
 
-# nodes per grid axis: 7 eigenpairs at 512^2 take 0.3 s, 145 MB on 2 vCPUs
+# nodes per grid axis: 7 eigenpairs at 512^2 take 0.07 s, 20 MB on 2 vCPUs
 _MAX_GRID = 512
 # analytic-vs-FD pairs per compare_modes call
 _MAX_COUNT = 50
+# eigenvector values one solve may hold: 216 eigenpairs at 512^2, 453 MB
+_MAX_ENTRIES = (4 * _MAX_COUNT + 16) * _MAX_GRID ** 2
 # largest |B x - lam x| / lam accepted for a unit eigenvector x. B is
 # symmetric, so some eigenvalue of B lies that close to lam, relatively
 # (Parlett, The Symmetric Eigenvalue Problem, ch. 4), which bounds the
@@ -77,93 +80,49 @@ class FDProblem:
                 raise ValueError(f"{name} must be at most {_MAX_GRID}, got {count}")
 
 
-# g_r[i] couples rings i and i + 1, radial[i] sums ring i's radial couplings
-# (the Dirichlet arc's in the last ring), g_phi[i] couples azimuthal neighbours
-# in ring i, w[i] is a ring-i cell's area; the callers check them for overflow
 @np.errstate(all="ignore")
-def _coefficients(problem: FDProblem) -> tuple[np.ndarray, ...]:
+def _rings(problem: FDProblem) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The FD operator ring by ring: coefficients of the finite-volume matrix
+    M and nonzeros of its symmetrization B = D^-1 M D^-1, D = sqrt(W) for
+    the polar cell areas W, which makes B similar to W^-1 M.
+
+    Of M, g_r[i] couples rings i and i + 1, radial[i] sums ring i's radial
+    couplings (the Dirichlet arc's in the last ring), g_phi[i] couples
+    azimuthal neighbours in ring i, and w[i] is a ring-i cell's area. Of B,
+    each rounded as (d_i m_ij) d_j: ring i's diagonal at its first and last
+    cell (the Neumann faces carry no flux) and at the others, its couplings
+    to and from ring i + 1, and its azimuthal one."""
     dr = problem.a / problem.n_r
     dphi = problem.phi0 / problem.n_phi
     r = (np.arange(problem.n_r) + 0.5) * dr
     g_r = (np.arange(1, problem.n_r) * dr) * dphi / dr
     radial = np.insert(g_r, 0, 0.0) + np.append(g_r, 0.0)
     radial[-1] += problem.a * dphi / (dr / 2.0)
-    return g_r, radial, dr / (r * dphi), r * dr * dphi
-
-
-@np.errstate(all="ignore")
-def _assemble(problem: FDProblem) -> scipy.sparse.csc_matrix:
-    """Area-weighted negative Laplacian, symmetrized to B = D^-1 M D^-1.
-
-    M is the finite-volume matrix (flux coefficients, symmetric by
-    construction), W the diagonal of polar cell areas, D = sqrt(W); the
-    returned B is similar to W^-1 M and explicitly symmetric.
-    """
-    # scipy.sparse loads on first use, so that importing the package costs
-    # only scipy.special
-    import scipy.sparse
-
-    n_r, n_phi = problem.n_r, problem.n_phi
-    g_r, radial, g_phi, w = _coefficients(problem)
-    # the Neumann faces at phi = 0 and phi0 carry no flux, so the first and
-    # last cell of a ring have one azimuthal coupling, the others two
-    diag = np.repeat((radial + g_phi)[:, None], n_phi, axis=1)
-    diag[:, 1:-1] += g_phi[:, None]
-    idx = np.arange(n_r * n_phi).reshape(n_r, n_phi)
-    # couplings across radial faces (ring i to i + 1), then azimuthal ones
-    lo = np.concatenate([idx[:-1].ravel(), idx[:, :-1].ravel()])
-    hi = np.concatenate([idx[1:].ravel(), idx[:, 1:].ravel()])
-    off = np.concatenate([np.repeat(-g_r, n_phi), np.repeat(-g_phi, n_phi - 1)])
-    b = scipy.sparse.coo_matrix(
-        (np.concatenate([off, off, diag.ravel()]),
-         (np.concatenate([lo, hi, idx.ravel()]),
-          np.concatenate([hi, lo, idx.ravel()]))),
-        shape=(idx.size, idx.size)).tocsc()
-    # scale M to B in place, each entry rounded as (d_i m_ij) d_j
-    d_inv = np.repeat(1.0 / np.sqrt(w), n_phi)
-    b.data = d_inv[b.indices] * b.data * np.repeat(d_inv, np.diff(b.indptr))
+    g_phi, w = dr / (r * dphi), r * dr * dphi
+    d = 1.0 / np.sqrt(w)
+    entries = (d * (radial + g_phi) * d, d * (radial + g_phi + g_phi) * d,
+               d[:-1] * -g_r * d[1:], d[1:] * -g_r * d[:-1], d * -g_phi * d)
     # cell areas that underflow to zero or overflow (a radius near the ends
     # of the float range) are refused too, and B keeps a factor 4 of headroom
-    # for the tridiagonal blocks of _smallest, whose diagonals reach twice B's
+    # for the tridiagonal blocks, whose diagonals reach twice B's
     if not (w.min() > 0.0 and math.isfinite(w.max())
-            and np.isfinite(4.0 * b.data).all()):
+            and all(np.isfinite(4.0 * x).all() for x in entries)):
         raise ValueError(f"radius {problem.a} m and sector angle "
                          f"{problem.phi0} put the FD operator out of "
                          "floating-point range")
-    return b
+    return (g_r, radial, g_phi, w), entries
 
 
-def _smallest(problem: FDProblem, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The `count` smallest eigenpairs of B, ascending. Block j of B under
-    the cosines q_j is W^-1/2 (A_r + mu_j diag(g_phi)) W^-1/2, mu_j = 4
-    sin^2(pi j / (2 n_phi)); its eigenvector y gives y (x) q_j / |q_j|."""
-    import scipy.linalg
-
-    g_r, radial, g_phi, w = _coefficients(problem)
-    off = -g_r / (np.sqrt(w[:-1]) * np.sqrt(w[1:]))
-    lam, y, mode = np.empty(0), np.empty((0, problem.n_r)), np.empty(0, int)
-    for j in range(problem.n_phi):
-        mu = 4.0 * math.sin(math.pi * j / (2.0 * problem.n_phi)) ** 2
-        try:
-            lam_j, y_j = scipy.linalg.eigh_tridiagonal(
-                (radial + mu * g_phi) / w, off, select="i",
-                select_range=(0, min(count, problem.n_r) - 1),
-                lapack_driver="stemr")
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"radial eigensolve of azimuthal mode {j} "
-                                   f"failed: {exc}") from None
-        # mu_j rises with j and g_phi >= 0, so by Weyl no later block has a
-        # smaller eigenvalue than this one
-        if lam.size == count and lam_j[0] > lam[-1]:
-            break
-        keep = np.argsort(np.append(lam, lam_j), kind="stable")[:count]
-        lam = np.append(lam, lam_j)[keep]
-        y = np.vstack([y, y_j.T])[keep]
-        mode = np.append(mode, np.full(lam_j.size, j))[keep]
-    q = np.cos(np.pi * np.outer(mode, np.arange(problem.n_phi) + 0.5)
-               / problem.n_phi)
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    return lam, (y[:, :, None] * q[:, None, :]).reshape(count, -1)
+def _apply(entries: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """B x for x of shape (..., n_r, n_phi), from the ring entries."""
+    edge, inner, outward, inward, azimuthal = (e[:, None] for e in entries)
+    y = inner * x
+    y[..., [0, -1]] = edge * x[..., [0, -1]]
+    y[..., :-1, :] += outward * x[..., 1:, :]
+    y[..., 1:, :] += inward * x[..., :-1, :]
+    y[..., :-1] += azimuthal * x[..., 1:]
+    y[..., 1:] += azimuthal * x[..., :-1]
+    return y
 
 
 def fd_transverse_eigs(problem: FDProblem, count: int) -> list[float]:
@@ -171,37 +130,70 @@ def fd_transverse_eigs(problem: FDProblem, count: int) -> list[float]:
 
     `count` must be below n_r * n_phi. Deterministic for fixed inputs;
     raises ConvergenceError if LAPACK fails to converge on a radial
-    problem, and ValueError if the operator leaves floating-point range or
-    rounding leaves an eigenpair residual above 1e-3 of its eigenvalue.
+    problem, and ValueError if the operator leaves floating-point range,
+    rounding leaves an eigenpair residual above 1e-3 of its eigenvalue, or
+    the eigenvectors would hold more than 216 * 512^2 values.
     """
     if not is_index(count, 1):
         raise ValueError(f"count must be a positive integer, got {count}")
+    if count >= (n := problem.n_r * problem.n_phi):
+        raise ValueError(f"requested {count} eigenvalues from a {n}-dim operator")
     return _fd_eigenpairs(problem, int(count))[0]
 
 
-def _fd_eigenpairs(problem: FDProblem, count: int) -> tuple[list[float], np.ndarray]:
-    """k_t values plus eigenvectors reshaped to (count, n_r, n_phi)."""
-    b = _assemble(problem)
-    if count >= (n := b.shape[0]):
-        raise ValueError(f"requested {count} eigenvalues from a {n}-dim operator")
-    lam, vec = _smallest(problem, count)
-    # in place, to hold one n x count temporary; B's entries near the float
-    # range make it inf or nan, which the check below refuses
+def _fd_eigenpairs(problem: FDProblem, count: int | None,
+                   bound: float | None = None) -> tuple[list[float], np.ndarray]:
+    """The `count` smallest k_t, or with `bound` all with k_t^2 <= `bound`,
+    ascending, with eigenvectors as (k, n_r, n_phi). Block j of B under the
+    cosines q_j is W^-1/2 (A_r + mu_j diag(g_phi)) W^-1/2, mu_j = 4
+    sin^2(pi j / (2 n_phi)); its eigenvector y gives y (x) q_j / |q_j|."""
+    import scipy.linalg
+
+    (g_r, radial, g_phi, w), entries = _rings(problem)
+    off = -g_r / (np.sqrt(w[:-1]) * np.sqrt(w[1:]))
+    if bound is None:
+        select = {"select": "i", "select_range": (0, min(count, problem.n_r) - 1)}
+    else:
+        select = {"select": "v", "select_range": (-np.inf, bound)}
+    lam, y, mode = np.empty(0), np.empty((0, problem.n_r)), np.empty(0, int)
+    for j in range(problem.n_phi):
+        mu = 4.0 * math.sin(math.pi * j / (2.0 * problem.n_phi)) ** 2
+        try:
+            lam_j, y_j = scipy.linalg.eigh_tridiagonal(
+                (radial + mu * g_phi) / w, off, lapack_driver="stemr", **select)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"radial eigensolve of azimuthal mode {j} "
+                                   f"failed: {exc}") from None
+        # mu_j rises with j and g_phi >= 0, so by Weyl no later block has a
+        # smaller eigenvalue than this one
+        if lam_j.size == 0 or (lam.size == count and lam_j[0] > lam[-1]):
+            break
+        keep = np.argsort(np.append(lam, lam_j), kind="stable")[:count]
+        lam = np.append(lam, lam_j)[keep]
+        y = np.vstack([y, y_j.T])[keep]
+        mode = np.append(mode, np.full(lam_j.size, j))[keep]
+        if lam.size * problem.n_r * problem.n_phi > _MAX_ENTRIES:
+            raise ValueError(f"{lam.size} or more FD eigenvectors on a "
+                             f"{problem.n_r} x {problem.n_phi} grid would "
+                             f"hold more than {_MAX_ENTRIES} values")
+    q = np.cos(np.pi * np.outer(mode, np.arange(problem.n_phi) + 0.5)
+               / problem.n_phi)
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    vec = y[:, :, None] * q[:, None, :]
+    # one eigenvector at a time, to hold no temporary the size of the stack;
+    # entries near the float range make it inf or nan, which the check refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        misfit = b @ vec.T
-        misfit /= lam
-        misfit -= vec.T
-        residual = np.linalg.norm(misfit, axis=0)
+        residual = np.array([np.linalg.norm(_apply(entries, x) / lam_k - x)
+                             for x, lam_k in zip(vec, lam)])
     if not np.all(residual <= _MAX_RESIDUAL):
         raise ValueError(
             f"rounding swamps the FD eigenvalues of radius {problem.a} m and "
             f"sector angle {problem.phi0} (relative residual "
             f"{np.max(residual):.1e}); the sector is too thin for the grid")
-    if lam[0] <= 0.0 or np.any(np.diff(lam) < 0.0):
+    if lam.size == 0 or lam[0] <= 0.0 or np.any(np.diff(lam) < 0.0):
         raise ConvergenceError("symmetrized spectrum is not positive ascending; "
                                "assembly bug")
-    return ([math.sqrt(x) for x in lam],
-            vec.reshape(count, problem.n_r, problem.n_phi))
+    return [math.sqrt(x) for x in lam], vec
 
 
 @dataclass(frozen=True)
@@ -219,35 +211,43 @@ def compare_modes(geom: SectorGeometry, count: int, grid: int) -> list[CompareRo
     """Pair the smallest analytic radial eigenvalues with FD eigenvalues.
 
     The analytic side enumerates derived-v modes with m >= 1 (the
-    azimuthally varying modes the antenna model targets), takes the `count`
-    smallest k_r = X_vn/a, and pairs each with the nearest FD eigenvalue of
-    the same cross-section. Relative errors are reported against the
-    analytic value. `count` is capped at 50: at grid 512 that takes 7 s
-    and 530 MB peak on a 2-vCPU VM, at grid 64 about 3 s, most of it in
-    the analytic side's Bessel zeros.
+    azimuthally varying modes the antenna model targets) and takes the
+    `count` smallest k_r = X_vn/a. One FD solve of the same cross-section
+    finds every k_t below 1.02 times the largest of them, and each k_r is
+    paired with the nearest of those. Relative errors are reported against
+    the analytic value. `count` is capped at 50: at grid 512 that takes
+    under 1 s and 200 MB on a quarter sector (2-vCPU VM). A thinner sector
+    puts more FD eigenvalues below the bound, and is refused with ValueError
+    when their eigenvectors would hold more than 216 * 512^2 values.
     """
     if not is_index(count, 1):
         raise ValueError(f"count must be a positive integer, got {count}")
     if count > _MAX_COUNT:
         raise ValueError(f"count must be at most {_MAX_COUNT}, got {count}")
     problem = FDProblem(a=geom.a, phi0=geom.phi0, n_r=grid, n_phi=grid)
-    span = range(1, count + 5)
-    targets = sorted(
-        (wavenumbers(geom, ModeSpec.derived(ModeFamily.TE, m, n, 0,
-                                            geom.phi0)).k_r, m, n)
-        for m in span for n in span)[:count]
 
-    fd_count = count + 4
-    fd = fd_transverse_eigs(problem, fd_count)
-    # extend until the FD list reaches past the largest analytic target
-    while fd[-1] < targets[-1][0] * 1.02 and fd_count < 4 * count + 16:
-        fd_count += 4
-        fd = fd_transverse_eigs(problem, fd_count)
+    def target(m: int, n: int) -> tuple[float, int, int]:
+        mode = ModeSpec.derived(ModeFamily.TE, m, n, 0, geom.phi0)
+        return wavenumbers(geom, mode).k_r, m, n
 
+    # X_vn rises in n and in v = m pi / phi0 (DLMF 10.21), so (m, n) follows
+    # (m, n - 1), and (m - 1, 1) when n = 1: a heap that takes in those
+    # successors of each target yields the next one, from 2 count - 1 zeros
+    frontier, targets = [], [target(1, 1)]
+    while len(targets) < count:
+        _, m, n = targets[-1]
+        heapq.heappush(frontier, target(m, n + 1))
+        if n == 1:
+            heapq.heappush(frontier, target(m + 1, 1))
+        targets.append(heapq.heappop(frontier))
+    top = 1.02 * targets[-1][0]
+    if not math.isfinite(top * top):
+        raise ValueError(f"FD eigenvalue bound {top}^2 is out of "
+                         "floating-point range")
+    fd = np.array(_fd_eigenpairs(problem, None, top * top)[0])
     rows = []
-    fd_arr = np.array(fd)
     for k_r, m, n in targets:
-        nearest = float(fd_arr[np.argmin(np.abs(fd_arr - k_r))])
+        nearest = float(fd[np.argmin(np.abs(fd - k_r))])
         rows.append(CompareRow(m=m, n=n, analytic_k_r=k_r, fd_k_t=nearest,
                                rel_error=abs(nearest - k_r) / k_r))
     return rows

@@ -2,9 +2,11 @@
 
 Everything here is deliberately written against mpmath's arbitrary precision
 floats and avoids importing the package under test, so the production code and
-these oracles can only agree by both being right. The one exception is
+these oracles can only agree by both being right. There are two exceptions.
 `load_grid_json_reference`, the field grid loader as it was before the
-document reader: it builds the package's own value objects from json.loads.
+document reader, builds the package's own value objects from json.loads.
+`compare_targets_grid`, the analytic side of `compare_modes` as it was
+before the heap frontier, ranks the package's own wavenumbers.
 """
 
 from __future__ import annotations
@@ -218,6 +220,19 @@ def fd_operator_loop(a: float, phi0: float, n_r: int, n_phi: int):
     return (d_inv @ m @ d_inv).tocsc()
 
 
+def compare_targets_grid(geom, count: int) -> list[tuple[float, int, int]]:
+    """The `count` smallest (k_r, m, n) over the grid m, n = 1 .. count + 4,
+    sorted: the reference for the heap frontier of `compare_modes`, ties and
+    order included. It costs (count + 4)^2 zeros."""
+    from sectordra import ModeFamily, ModeSpec, wavenumbers
+
+    span = range(1, count + 5)
+    return sorted(
+        (wavenumbers(geom, ModeSpec.derived(ModeFamily.TE, m, n, 0,
+                                            geom.phi0)).k_r, m, n)
+        for m in span for n in span)[:count]
+
+
 def load_grid_json_reference(doc):
     """The field grid loader that ran json.loads over the whole document:
     the reference that `sectordra.load_grid_json` must match on every
@@ -257,5 +272,6 @@ def load_grid_json_reference(doc):
                          amplitude=data["amplitude"])
     except KeyError as exc:
         raise ValueError(f"missing key {exc}") from None
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
+        # OverflowError: an integer item that no float holds
         raise ValueError(f"malformed value: {exc}") from None

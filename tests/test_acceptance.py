@@ -1,7 +1,7 @@
 """End-to-end acceptance checks.
 
 Each test prints one PASS/FAIL line (visible even under captured output)
-and then asserts, so a full run shows exactly ten verdict lines.
+and then asserts, so a full run shows exactly eleven verdict lines.
 """
 
 import math
@@ -20,6 +20,7 @@ from sectordra import (
     averaged_sar,
     bessel_zero,
     boundary_residuals,
+    compare_modes,
     limit_lookup,
     max_allowed_power,
     resonant_frequency,
@@ -184,3 +185,16 @@ def test_10_inverse_design_round_trip(capsys):
     ok = worst < 1e-8
     _verdict(capsys, 10, "inverse design round trip", ok,
              f"worst rel={worst:.1e} over 20 geometries")
+
+
+def test_11_compare_modes_at_its_caps(table1, capsys):
+    # count and grid at their caps, analytic side cold: under 1 s and 200 MB
+    # on a 2-vCPU VM
+    modal._zero.cache_clear()
+    t0 = time.perf_counter()
+    rows = compare_modes(table1, count=50, grid=512)
+    elapsed = time.perf_counter() - t0
+    worst = max(row.rel_error for row in rows)
+    ok = len(rows) == 50 and worst < 1e-3 and elapsed < 3.0
+    _verdict(capsys, 11, "FD cross-check at its caps", ok,
+             f"worst rel={worst:.1e}, count 50 at 512^2 in {elapsed:.2f} s")

@@ -485,10 +485,10 @@ def test_load_grid_json_rejects_malformed_documents(table1):
         bad["components"]["Hz"]["im"] = value
         with pytest.raises(ValueError, match="'Hz' 'im' holds"):
             load_grid_json(json.dumps(bad))
-    # a null or a numeric string in a component part, in one plane or in
-    # both (which the loader would otherwise tile): numpy read them as nan
-    # and 1.5
-    for item in (None, "1.5"):
+    # a null, a numeric string or an integer that no float holds in a
+    # component part, in one plane or in both (which the loader would
+    # otherwise tile): numpy read the first two as nan and 1.5
+    for item in (None, "1.5", 10 ** 400):
         for planes in ([0], [0, 1]):
             bad = json.loads(json.dumps(doc))
             for iz in planes:

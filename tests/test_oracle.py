@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from sectordra import (
     fd_transverse_eigs,
 )
 from sectordra.errors import ConvergenceError
-from sectordra.oracle import _assemble, _fd_eigenpairs
+from sectordra.oracle import _apply, _fd_eigenpairs, _rings
+import sectordra.modal as modal
 
-from oracles import fd_operator_loop
+from oracles import compare_targets_grid, fd_operator_loop
 
 # analytic transverse spectrum of the unit quarter disk: conducting faces
 # admit even azimuthal orders only, the arc pins H_z to zero
@@ -46,8 +48,8 @@ def test_problem_validation():
 def test_lanczos_matches_dense_eigh(grid, phi0):
     # every one of the smallest eigenvalues, none skipped or repeated
     problem = FDProblem(a=1.0, phi0=phi0, n_r=grid, n_phi=grid)
-    dense = np.sqrt(scipy.linalg.eigh(_assemble(problem).toarray(),
-                                      eigvals_only=True))
+    dense = np.sqrt(scipy.linalg.eigh(
+        fd_operator_loop(1.0, phi0, grid, grid).toarray(), eigvals_only=True))
     for count in (1, 7, 12, 40):
         got = fd_transverse_eigs(problem, count)
         np.testing.assert_allclose(got, dense[:count], rtol=1e-8, atol=0.0)
@@ -68,7 +70,7 @@ def test_arpack_failure_is_convergence_error(monkeypatch):
 def test_non_square_grids_match_dense_eigh(n_r, n_phi, phi0):
     # a square grid would hide a transposed ring/azimuth layout
     problem = FDProblem(a=1.0, phi0=phi0, n_r=n_r, n_phi=n_phi)
-    b = _assemble(problem).toarray()
+    b = fd_operator_loop(1.0, phi0, n_r, n_phi).toarray()
     dense = np.sqrt(scipy.linalg.eigh(b, eigvals_only=True))
     for count in (1, 7, 12, 40):
         got, vecs = _fd_eigenpairs(problem, count)
@@ -85,10 +87,29 @@ def test_non_square_grids_match_dense_eigh(n_r, n_phi, phi0):
     (1e-150, 2.0 * math.pi, 23, 17), (1e150, 1e-5, 17, 23),
     (0.02, math.pi, 72, 72)])
 def test_assembly_is_bitwise_the_face_loop(a, phi0, n_r, n_phi):
-    got = _assemble(FDProblem(a=a, phi0=phi0, n_r=n_r, n_phi=n_phi))
-    want = fd_operator_loop(a, phi0, n_r, n_phi)
-    for part in ("indptr", "indices", "data"):
-        assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+    _, entries = _rings(FDProblem(a=a, phi0=phi0, n_r=n_r, n_phi=n_phi))
+    b = fd_operator_loop(a, phi0, n_r, n_phi)
+    # every nonzero is bitwise the one ring entry its position names
+    coo = b.tocoo()
+    (ring, cell), (to_ring, to_cell) = (np.divmod(coo.row, n_phi),
+                                        np.divmod(coo.col, n_phi))
+    same, diag = ring == to_ring, coo.row == coo.col
+    edge = (cell == 0) | (cell == n_phi - 1)
+    kinds = (diag & edge, diag & ~edge, to_ring == ring + 1,
+             to_ring == ring - 1, same & (abs(cell - to_cell) == 1))
+    assert np.array_equal(sum(k.astype(int) for k in kinds), np.ones(coo.nnz))
+    for kind, entry in zip(kinds, entries):
+        want = coo.data[kind]
+        assert want.size == np.count_nonzero(kind) > 0
+        assert (entry[np.minimum(ring, to_ring)[kind]].tobytes()
+                == want.tobytes())
+    # B applied from the entries to a random stack agrees with the sparse
+    # product to rounding
+    x = np.random.default_rng(7).standard_normal((3, n_r, n_phi))
+    flat = x.reshape(3, -1).T
+    want = (b @ flat).T.reshape(x.shape)
+    scale = (abs(b) @ abs(flat)).T.reshape(x.shape)
+    assert np.all(abs(_apply(entries, x) - want) <= 1e-14 * scale)
 
 
 @pytest.mark.parametrize("phi0, count, message", [
@@ -183,9 +204,54 @@ def test_compare_modes_half_disk():
     assert rows[0].rel_error < 1e-3
 
 
+def test_compare_modes_thin_sector():
+    # at v = 20 pi, 23 FD eigenvalues lie below the first target; a search
+    # that stopped after 20 paired it with the last of those (0.114)
+    geom = SectorGeometry(a=1.0, h=1.0, phi0=0.05, eps_r=1.0)
+    rows = compare_modes(geom, count=1, grid=64)
+    assert (rows[0].m, rows[0].n) == (1, 1)
+    assert rows[0].rel_error < 1e-3
+
+
+@pytest.mark.parametrize("phi0", [0.3, 1.0, math.pi / 2.0, math.radians(137.5),
+                                  math.pi, 2.0 * math.pi])
+def test_compare_modes_frontier_is_the_sorted_grid(phi0):
+    # the same (k_r, m, n) rows as the sorted candidate grid, ties and order
+    # included; the largest count first, so the rest find its zeros cached
+    geom = SectorGeometry(a=0.012, h=0.00254, phi0=phi0, eps_r=12.85)
+    for count in (50, 20, 7, 3, 1):
+        rows = compare_modes(geom, count=count, grid=16)
+        assert ([(row.analytic_k_r, row.m, row.n) for row in rows]
+                == compare_targets_grid(geom, count))
+
+
+def test_compare_modes_zero_searches(table1):
+    modal._zero.cache_clear()
+    compare_modes(table1, count=50, grid=16)
+    assert modal._zero.cache_info().misses <= 2 * 50 + 1
+
+
+def test_compare_modes_refuses_a_window_before_its_eigenvectors():
+    # at 0.01 rad, 246 or more FD eigenvalues lie below 1.02 times the 50th
+    # target; at 512^2 their eigenvectors would take over 500 MB
+    geom = SectorGeometry(a=0.012, h=0.00254, phi0=0.01, eps_r=12.85)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than 56623104 values"):
+            compare_modes(geom, count=50, grid=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
 def test_compare_modes_validation(table1):
     with pytest.raises(ValueError):
         compare_modes(table1, count=0, grid=64)
     # the cap rejects before any zero search or solve
     with pytest.raises(ValueError, match="at most 50"):
         compare_modes(table1, count=51, grid=64)
+    # k_r of (1, 1) fits the float range, the square of 1.02 k_r does not
+    with pytest.raises(ValueError, match="bound .* out of floating-point range"):
+        compare_modes(SectorGeometry(a=2.38e-154, h=1.0, phi0=2.0 * math.pi,
+                                     eps_r=1.0), count=1, grid=16)

@@ -199,15 +199,25 @@ def test_zero_search_is_capped():
 
 def test_import_loads_only_scipy_special():
     # a fresh interpreter: the FD solver's scipy modules load on first use,
-    # and mpmath is a test-only dependency
-    probe = ("import json, sys, sectordra; print(json.dumps(sorted(m for m in "
-             "sys.modules if m.split('.')[0] in ('scipy', 'mpmath'))))")
+    # and mpmath is a test-only dependency; the FD check itself never needs
+    # scipy.sparse
+    probe = ("import json, sys, sectordra\n"
+             "def loaded(): return sorted(m for m in sys.modules\n"
+             "    if m.split('.')[0] in ('scipy', 'mpmath'))\n"
+             "after_import = loaded()\n"
+             "sectordra.compare_modes(sectordra.SectorGeometry.quarter("
+             "0.012, 0.00254, 12.85), 3, 16)\n"
+             "print(json.dumps([after_import, loaded()]))")
     src = str(Path(sectordra.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, check=True,
                             env={**os.environ, "PYTHONPATH": src})
-    loaded = json.loads(result.stdout)
-    assert "scipy.special" in loaded
-    for banned in ("scipy.sparse", "scipy.linalg", "scipy.optimize", "mpmath"):
-        assert not any(m == banned or m.startswith(banned + ".")
-                       for m in loaded), banned
+    after_import, after_compare = json.loads(result.stdout)
+    assert "scipy.special" in after_import
+    for loaded, banned in (
+            (after_import, ("scipy.sparse", "scipy.linalg", "scipy.optimize",
+                            "mpmath")),
+            (after_compare, ("scipy.sparse", "mpmath"))):
+        for name in banned:
+            assert not any(m == name or m.startswith(name + ".")
+                           for m in loaded), name
