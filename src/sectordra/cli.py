@@ -389,11 +389,11 @@ def _cmd_power(args) -> None:
     _emit(_render(["p_max_w"], rows, args.format), args.output)
 
 
-# the SI scale and the largest typed value of a swept length or angle;
-# eps_r is swept as typed
-_SWEEP_UNITS = {SweepParameter.RADIUS: (1e-3, math.inf),
-                SweepParameter.HEIGHT: (1e-3, math.inf),
-                SweepParameter.SECTOR_ANGLE: (math.pi / 180.0, 360.0)}
+# the SI conversion and the largest typed value of a swept length or angle,
+# as the geometry flags take them; eps_r is swept as typed
+_SWEEP_UNITS = {SweepParameter.RADIUS: (_meters, math.inf),
+                SweepParameter.HEIGHT: (_meters, math.inf),
+                SweepParameter.SECTOR_ANGLE: (math.radians, 360.0)}
 
 
 def _cmd_sweep(args) -> None:
@@ -404,9 +404,9 @@ def _cmd_sweep(args) -> None:
         _require_height_for(args, modes)
     start, stop = args.start, args.stop
     if parameter in _SWEEP_UNITS:
-        scale, top = _SWEEP_UNITS[parameter]
-        start = _si(start, "--start", lambda value: value * scale, top)
-        stop = _si(stop, "--stop", lambda value: value * scale, top)
+        convert, top = _SWEEP_UNITS[parameter]
+        start = _si(start, "--start", convert, top)
+        stop = _si(stop, "--stop", convert, top)
     spec = SweepSpec(parameter=parameter, start=start, stop=stop,
                      steps=args.steps, modes=modes)
     rows = sweep(geom, spec)
@@ -539,10 +539,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ConvergenceError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, ConvergenceError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     return 0

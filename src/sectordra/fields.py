@@ -53,7 +53,6 @@ __all__ = [
     "sample_grid",
     "boundary_residuals",
     "export_grid",
-    "write_grid",
     "load_grid_json",
     "CSV_COLUMNS",
 ]
@@ -208,11 +207,6 @@ class FieldGrid:
     @property
     def shape(self) -> tuple[int, int, int]:
         return (len(self.r), len(self.phi), len(self.z))
-
-    @property
-    def n_samples(self) -> int:
-        nr, nphi, nz = self.shape
-        return nr * nphi * nz
 
     def sample(self, ir: int, iphi: int, iz: int) -> FieldSample:
         """The stored sample at one grid node."""
@@ -408,8 +402,9 @@ def export_grid(grid: FieldGrid, format: str) -> str:
             planes = _plane_texts(comp, half, repeats, _json_items)
             return ", ".join(filter(None, planes))
 
-        # the components go last, as json.dumps(doc) would place them; one
-        # join copies each array's items into the document
+        # the components go last, as json.dumps(doc) would place them, in
+        # the layout `_read_export` reads back; one join copies each array's
+        # items into the document
         pieces = [head[:-1], ', "components": {']
         for name, comp in zip(_COMPONENT_NAMES, comps):
             real, imag = _repeats(comp)
@@ -420,23 +415,14 @@ def export_grid(grid: FieldGrid, format: str) -> str:
     raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
 
-def write_grid(grid: FieldGrid, path: str, format: str) -> None:
-    """Export a grid to a file; I/O errors carry the path."""
-    doc = export_grid(grid, format)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-    except OSError as exc:
-        raise OSError(f"cannot write grid to {path!r}: {exc}") from exc
-
-
 def load_grid_json(doc: str) -> FieldGrid:
     """Rebuild a FieldGrid from its JSON document, bitwise identical.
 
-    The document is read as json.loads would read it, with one shortcut:
-    a component's "re" or "im" array whose text is one z-plane's text
-    repeated, as `export_grid` writes every plane of a p = 0 mode, is
-    parsed once and tiled. A document that is not an object, lacks a key,
+    A document in the layout `export_grid` writes is read by `_read_export`,
+    which parses a component's "re" or "im" array whose text is one
+    z-plane's text repeated (every plane of a p = 0 mode) once and tiles
+    it; json.loads reads any other document. Either way the grid is the one
+    json.loads would give. A document that is not an object, lacks a key,
     holds a non-numeric or boolean geometry or mode number, an amplitude
     that is not a positive finite number, axes that do not match its shape,
     or a component "re" or "im" array of another length than
@@ -444,12 +430,8 @@ def load_grid_json(doc: str) -> FieldGrid:
     string), raises ValueError. Booleans in such an array load as 1.0 and
     0.0, as float() reads them.
     """
-    if isinstance(doc, str) and doc.startswith("{", _WS(doc).end()):
-        try:
-            data = _read_document(doc)
-        except RecursionError:  # json's own depth limit decides
-            data = json_object(doc, "field grid document")
-    else:  # not an object: json's own reading and messages
+    data = _read_export(doc) if isinstance(doc, str) else None
+    if data is None:
         data = json_object(doc, "field grid document")
     try:
         return _grid_from_document(data)
@@ -459,78 +441,58 @@ def load_grid_json(doc: str) -> FieldGrid:
         raise ValueError(f"field grid document holds a malformed value: {exc}") from None
 
 
-_WS = json.decoder.WHITESPACE.match
 _DECODER = json.JSONDecoder()
+# where the head of an `export_grid` document ends and its components begin
+_HEAD_END = ', "components": {'
 
 
-def _scan_object(doc: str, idx: int, read) -> tuple[dict, int]:
-    """The JSON object that opens at doc[idx], as json would scan it (the
-    last of duplicate keys wins), and the index past it. read(key, i)
-    returns the value at doc[i] and the index past that value."""
-    members = {}
-    idx = _WS(doc, idx + 1).end()
-    if doc.startswith("}", idx):
-        return members, idx + 1
-    while True:
-        if not doc.startswith('"', idx):
-            raise json.JSONDecodeError(
-                "Expecting property name enclosed in double quotes", doc, idx)
-        key, idx = json.decoder.scanstring(doc, idx + 1)
-        idx = _WS(doc, idx).end()
-        if not doc.startswith(":", idx):
-            raise json.JSONDecodeError("Expecting ':' delimiter", doc, idx)
-        members[key], idx = read(key, _WS(doc, idx + 1).end())
-        idx = _WS(doc, idx).end()
-        if doc.startswith("}", idx):
-            return members, idx + 1
-        if not doc.startswith(",", idx):
-            raise json.JSONDecodeError("Expecting ',' delimiter", doc, idx)
-        idx = _WS(doc, idx + 1).end()
-
-
-def _read_document(doc: str) -> dict:
-    """json.loads(doc) for a document that opens an object, except that
-    `_read_part` reads the "re" and "im" arrays under "components" with
-    the "shape" seen before them."""
-    shape = None
-
-    def top(key: str, idx: int):
-        nonlocal shape
-        if key == "components" and doc.startswith("{", idx):
-            return _scan_object(doc, idx, component)
-        value, end = _DECODER.raw_decode(doc, idx)
-        if key == "shape":
-            shape = value
-        return value, end
-
-    def component(key: str, idx: int):
-        if doc.startswith("{", idx):
-            return _scan_object(doc, idx, part)
-        return _DECODER.raw_decode(doc, idx)
-
-    def part(key: str, idx: int):
-        if key in ("re", "im"):
-            return _read_part(doc, idx, shape)
-        return _DECODER.raw_decode(doc, idx)
-
-    data, end = _scan_object(doc, _WS(doc).end(), top)
-    end = _WS(doc, end).end()
-    if end != len(doc):
-        raise json.JSONDecodeError("Extra data", doc, end)
+def _read_export(doc: str) -> dict | None:
+    """json.loads(doc) for a document that is the head, then the six
+    components in the layout and order `export_grid` writes them, then
+    JSON whitespace; None for any other text. A head that json reads as a
+    nonempty object once closed with "}" ends at depth 1 outside any
+    string, and `_HEAD_END` cannot sit inside a string (its '"' would close
+    it), so the components are the document's last member, and their text
+    is checked byte for byte."""
+    cut = doc.find(_HEAD_END)
+    if cut < 0:
+        return None
+    try:
+        data = json.loads(doc[:cut] + "}")
+        if not data:  # "{" alone: the "," of _HEAD_END would follow no member
+            return None
+        shape = data.get("shape")
+        idx, components = cut + len(_HEAD_END), {}
+        for name in _COMPONENT_NAMES:
+            comp = components[name] = {}
+            for key, lead in (("re", f'"{name}": {{"re": ['), ("im", ', "im": [')):
+                if not doc.startswith(lead, idx):
+                    return None
+                comp[key], idx = _read_part(doc, idx + len(lead), shape)
+            # "components" and the document close after the last one
+            tail = "}}}" if name == _COMPONENT_NAMES[-1] else "}, "
+            if not doc.startswith(tail, idx):
+                return None
+            idx += len(tail)
+    except (ValueError, RecursionError):  # json's own reading decides
+        return None
+    if doc[idx:].strip(" \t\n\r"):
+        return None
+    data["components"] = components  # the last of duplicate keys wins
     return data
 
 
-def _read_part(doc: str, idx: int, shape) -> tuple[object, int]:
-    """The array at doc[idx] and the index past it. When its text is one
-    plane's text joined n_z times by ", ", that plane is parsed once and
-    tiled. A plane with no '"' or '[' holds no string or nested array, so
-    every ", " in the array text falls between elements, and the tiled
-    plane is what json would read. Any other value is json's."""
-    if (doc.startswith("[", idx) and isinstance(shape, list)
-            and len(shape) == 3
+def _read_part(doc: str, start: int, shape) -> tuple[object, int]:
+    """The array whose items start at doc[start], after its "[", and the
+    index past its "]". When its text is one plane's text joined n_z times
+    by ", ", that plane is parsed once and tiled. A plane with no '"' or
+    '[' holds no string or nested array, so every ", " in the array text
+    falls between elements, and the tiled plane is what json would read.
+    Any other array is json's."""
+    if (isinstance(shape, list) and len(shape) == 3
             and all(type(count) is int and count > 0 for count in shape)):
         n_r, n_phi, n_z = shape
-        start, close = idx + 1, doc.find("]", idx)
+        close = doc.find("]", start)
         width, rest = divmod(close - start - 2 * (n_z - 1), n_z)
         plane = doc[start:start + width] if width > 0 and not rest else ""
         # every later plane follows a ", " at its place in the array text
@@ -540,7 +502,7 @@ def _read_part(doc: str, idx: int, shape) -> tuple[object, int]:
             values = _plane_values(plane, n_r * n_phi)
             if values is not None:
                 return np.tile(values, n_z), close + 1
-    return _DECODER.raw_decode(doc, idx)
+    return _DECODER.raw_decode(doc, start - 1)
 
 
 def _plane_values(text: str, size: int) -> np.ndarray | None:

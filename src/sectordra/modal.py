@@ -147,10 +147,6 @@ class ModeSpec:
         if self.m is not None and not is_index(self.m, 0):
             raise ValueError(f"azimuthal index must be a non-negative integer, got {self.m}")
 
-    @property
-    def v_source(self) -> str:
-        return "explicit" if self.m is None else "derived_from_m"
-
     @classmethod
     def derived(cls, family: ModeFamily, m: int, n: int, p: int,
                 phi0: float) -> "ModeSpec":

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,15 +58,13 @@ class FDProblem:
     n_r and n_phi count cell-centered nodes, each from 16 to 512 (the cap
     bounds the solve's memory); boundary conditions are fixed by the physics
     (conducting faces force dH_z/dphi = 0, the magnetic-wall arc forces
-    H_z = 0) and are recorded for the record only.
+    H_z = 0).
     """
 
     a: float
     phi0: float
     n_r: int
     n_phi: int
-    face_bc: str = field(default="neumann", init=False)
-    arc_bc: str = field(default="dirichlet", init=False)
 
     def __post_init__(self) -> None:
         if not (self.a > 0.0 and math.isfinite(self.a)):

@@ -26,6 +26,9 @@ __all__ = ["bessel_j", "bessel_j_prime", "bessel_zero", "ConvergenceError"]
 
 # sign-scan step, below half the minimal spacing of consecutive zeros
 _STEP = 1.5
+# tolerance on a zero's location, absolute for zeros below 1 and relative
+# above: at large x doubles cannot resolve an absolute step of it
+_TOL = 1e-12
 
 # a zero search spans at most this many scan points, which bounds its time
 # (about 4 s at the largest orders on a 2-vCPU Xeon) and memory (8 MB of
@@ -110,7 +113,7 @@ def _bracket(v: float, n: int) -> tuple[float, float]:
     return float(xs[i]), float(xs[i + 1])
 
 
-def bessel_zero(v: float, n: int, tol: float = 1e-12) -> float:
+def bessel_zero(v: float, n: int) -> float:
     """n-th positive zero X_vn of J_v, n = 1, 2, ...
 
     The scan starts just below the first zero, where J_v > 0, and marches
@@ -124,9 +127,6 @@ def bessel_zero(v: float, n: int, tol: float = 1e-12) -> float:
     Args:
         v: order, real and >= 0.
         n: 1-based zero index.
-        tol: tolerance on the zero location, absolute for zeros below 1
-            and relative above: at large x doubles cannot resolve an
-            absolute step of tol.
 
     Raises:
         ValueError: on a bad order or index, or when the scan would exceed
@@ -141,7 +141,7 @@ def bessel_zero(v: float, n: int, tol: float = 1e-12) -> float:
     lo, hi = _bracket(v, int(n))
     f_lo = jv(v, lo)
     xk = 0.5 * (lo + hi)
-    step_tol = tol * max(1.0, xk)
+    step_tol = _TOL * max(1.0, xk)
     for it in range(80):
         f = jv(v, xk)
         if (f < 0.0) != (f_lo < 0.0):

@@ -282,14 +282,17 @@ def test_sar_rejects_bad_tissue(capsys, tmp_path):
 
 
 def test_sweep_is_thin_adapter(capsys, table1):
-    code, out, _ = run(capsys, "sweep", *G, "--param", "radius", "--start",
-                       "8", "--stop", "16", "--steps", "5", "--mode", TE210,
-                       "--mode", "EH:v=1,n=1,p=0")
-    assert code == 0
-    spec = SweepSpec(SweepParameter.RADIUS, 8.0 * 1e-3, 16.0 * 1e-3, 5,
-                     (ModeSpec.explicit(ModeFamily.TE, 2.0, 1, 0),
-                      ModeSpec.explicit(ModeFamily.EH, 1.0, 1, 0)))
-    assert out == sweep_csv(sweep(table1, spec))
+    # millimetres convert as --radius-mm does: 5.2 * 1e-3 is not 5.2 / 1000
+    for start, stop in (("8", "16"), ("5.2", "6")):
+        code, out, _ = run(capsys, "sweep", *G, "--param", "radius",
+                           "--start", start, "--stop", stop, "--steps", "5",
+                           "--mode", TE210, "--mode", "EH:v=1,n=1,p=0")
+        assert code == 0
+        spec = SweepSpec(SweepParameter.RADIUS, float(start) / 1000.0,
+                         float(stop) / 1000.0, 5,
+                         (ModeSpec.explicit(ModeFamily.TE, 2.0, 1, 0),
+                          ModeSpec.explicit(ModeFamily.EH, 1.0, 1, 0)))
+        assert out == sweep_csv(sweep(table1, spec))
 
 
 def test_sweep_json_matches_csv(capsys):

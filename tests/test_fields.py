@@ -673,6 +673,48 @@ def test_load_grid_json_matches_json_loads(table1, data):
             assert a.tobytes() == b.tobytes()
 
 
+def _bracket_string(doc):
+    data = json.loads(doc)
+    data["components"]["Hz"]["re"][1] = "]"
+    return json.dumps(data)  # the exporter's own layout, as json.dumps writes it
+
+
+# (name, edit, whether the exporter layout reader takes the document,
+# whether it loads)
+_LAYOUT_EDITS = [
+    ("trailing-newline", lambda doc: doc + "\n", True, True),
+    # an object inside "axes" that holds "components" ahead of the real one
+    ("nested-components", lambda doc: doc.replace(
+        '"phi_rad": ', '"components": {"Er": {"re": [], "im": []}}, '
+        '"phi_rad": ', 1), False, True),
+    ("bracket-string", _bracket_string, True, False),
+    ("sort-keys", lambda doc: json.dumps(json.loads(doc), sort_keys=True),
+     False, True),
+    # "{}" is a head json reads, but "{, " opens no JSON object
+    ("empty-head", lambda doc: "{" + doc[doc.index(', "components": {'):],
+     False, False),
+]
+
+
+@pytest.mark.parametrize("p", (0, 1))
+@pytest.mark.parametrize("edit, layout, loads",
+                         [edit[1:] for edit in _LAYOUT_EDITS],
+                         ids=[edit[0] for edit in _LAYOUT_EDITS])
+def test_load_grid_json_layout_rule(table1, edit, layout, loads, p):
+    # the exporter's layout is read by _read_export, any other document by
+    # json.loads; both load what the whole-document reference loads
+    doc = edit(export_grid(sample_grid(table1, _mode(2.0, 1, p), 4, 3, 3), "json"))
+    assert (fields._read_export(doc) is not None) == layout
+    want = _load(load_grid_json_reference, doc)
+    got = _load(load_grid_json, doc)
+    assert (got is not None) == (want is not None) == loads
+    if want is not None:
+        for name in ("geometry", "mode", "amplitude"):
+            assert repr(getattr(got, name)) == repr(getattr(want, name))
+        for name in ("r", "phi", "z", *_NAMES):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 def test_export_rejects_unknown_format(table1):
     grid = sample_grid(table1, _mode(2.0), 3, 3, 1)
     with pytest.raises(ValueError):
