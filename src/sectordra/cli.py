@@ -193,8 +193,8 @@ def _emit(doc: str, output: str | None) -> None:
     try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(doc)
-    except OSError as exc:
-        raise ValueError(f"cannot write {output}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ValueError(f"cannot write {output!r}: {exc}") from exc
 
 
 def _render(columns: list[str], rows: list[dict], fmt: str) -> str:

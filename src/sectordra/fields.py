@@ -67,9 +67,10 @@ CSV_COLUMNS = (
 _FIELDS = ("E_r", "E_phi", "E_z", "H_r", "H_phi", "H_z")
 _COMPONENT_NAMES = ("Er", "Ephi", "Ez", "Hr", "Hphi", "Hz")
 # nodes per grid (n_r * n_phi * n_z). At 64^3 on a 2-vCPU VM, with 87 MB of
-# process peak before the export: CSV 0.1 s and 160 MB peak at p = 0, 2.0 s
-# and 194 MB at p = 1; JSON 0.1 s and 134 MB at p = 0, 1.9 s and 149 MB at
-# p = 1
+# process peak before the export, a grid's first export: CSV 0.1 s and
+# 163 MB peak at p = 0, 2.2 s and 241 MB at p = 1; JSON 0.1 s and 134 MB at
+# p = 0, 1.1-1.8 s and 196 MB at p = 1. The second export of the grid reuses
+# its number texts: JSON after CSV takes 0.1 s at p = 1
 _MAX_NODES = 2**18
 
 
@@ -188,7 +189,9 @@ class FieldGrid:
     """Dense field samples on a uniform (r, phi, z) grid, endpoints included.
 
     Component arrays are complex with shape (n_r, n_phi, n_z) and are scaled
-    so that max |H_z| equals `amplitude`.
+    so that max |H_z| equals `amplitude`. `export_grid` keeps the number
+    text of the components on the grid, for as long as they stay bitwise
+    unchanged.
     """
 
     geometry: SectorGeometry
@@ -286,42 +289,78 @@ def boundary_residuals(geom: SectorGeometry, mode: ModeSpec,
                              cap_dhz_dz=cap * float(np.abs(h_z0).max()))
 
 
-def _csv_column(part: np.ndarray) -> list[str]:
-    """repr() of every float in `part`; a part with no nonzero entry (E_z,
-    and the real or imaginary half of a purely imaginary or real component)
-    only needs the sign of each zero. NaN counts as nonzero."""
-    if np.count_nonzero(part):
-        return list(map(repr, part.tolist()))
-    return list(map(("0.0", "-0.0").__getitem__, np.signbit(part).tolist()))
-
-
 def _json_items(part: np.ndarray) -> str:
     """The items of json.dumps(part.tolist()), without the brackets."""
     return json.dumps(part.tolist())[1:-1]
 
 
-def _repeats(comp: np.ndarray) -> list[list[bool]]:
-    """For the real and for the imaginary half of a component: whether each
-    z-plane is bitwise equal to the plane before it (never the first).
-    Bitwise as tobytes() compares: -0.0 differs from 0.0, and NaNs with
-    equal payloads are equal. Every plane of a p = 0 mode repeats, since
-    its fields do not vary along z."""
-    # a (real, imaginary) pair of uint64 per node, whatever the strides
-    bits = np.asarray(comp, dtype=complex).view(np.dtype((np.uint64, 2)))
-    repeats = np.zeros((comp.shape[2], 2), dtype=bool)
+def _csv_column(items: str) -> list[str]:
+    """repr() of each float in the JSON items text `items`. json writes a
+    finite float as repr does, and NaN, Infinity and -Infinity where repr
+    writes nan, inf and -inf; no finite float's text holds an N or an I."""
+    if not items:
+        return []
+    if "N" in items or "I" in items:
+        items = items.replace("NaN", "nan").replace("Infinity", "inf")
+    return items.split(", ")
+
+
+def _bits(comp: np.ndarray) -> np.ndarray:
+    """A component's (real, imaginary) pair of uint64 per node, whatever its
+    strides: equal bits are what tobytes() compares, so -0.0 differs from
+    0.0, and NaNs with equal payloads are equal."""
+    return np.asarray(comp, dtype=complex).view(np.dtype((np.uint64, 2)))
+
+
+def _repeats(bits: np.ndarray) -> list[list[bool]]:
+    """For the real and for the imaginary half of a component's `_bits`:
+    whether each z-plane is bitwise equal to the plane before it (never the
+    first). Every plane of a p = 0 mode repeats, since its fields do not
+    vary along z."""
+    repeats = np.zeros((bits.shape[2], 2), dtype=bool)
     repeats[1:] = (bits[:, :, 1:] == bits[:, :, :-1]).all(axis=(0, 1))
     return repeats.T.tolist()
 
 
-def _plane_texts(comp: np.ndarray, half: str, repeats: list[bool], fmt):
-    """fmt of the real or imaginary `half` of each z-plane of a component,
-    flattened phi-major, or the text of the plane before where `repeats`
-    says the plane is bitwise equal to it."""
-    text = None
+def _plane_texts(comp: np.ndarray, half: str, repeats: list[bool]) -> list[str]:
+    """_json_items of the real or imaginary `half` of each z-plane of a
+    component, flattened phi-major; where `repeats` says a plane is bitwise
+    equal to the plane before, the text object of the plane before."""
+    texts = []
     for iz, repeat in enumerate(repeats):
         if not repeat:
-            text = fmt(getattr(comp[:, :, iz].T.ravel(), half))
-        yield text
+            text = _json_items(getattr(comp[:, :, iz].T.ravel(), half))
+        texts.append(text)
+    return texts
+
+
+def _part_texts(grid: FieldGrid) -> list[list[str]]:
+    """The JSON items text of each z-plane of the grid's 12 component parts
+    (the real, then the imaginary half of each of `_FIELDS`), from which
+    both exports take their numbers.
+
+    The texts are kept on the grid with a snapshot of its components, and
+    reused while the components still match it in shape and bits, so an
+    in-place edit shows in the next export. The snapshot holds each part's
+    `_repeats` flags and the bits of every plane that does not repeat the
+    plane before in both parts; the flags give the bits of the others.
+    Neither is a dataclass field, so a `dataclasses.replace` copy starts
+    without them."""
+    comps = [getattr(grid, name) for name in _FIELDS]
+    bits = list(map(_bits, comps))
+    repeats = list(map(_repeats, bits))
+    firsts = [comp_bits[:, :, ~np.logical_and(*flags)]  # a copy of the planes
+              for comp_bits, flags in zip(bits, repeats)]
+    kept = vars(grid).get("_export_texts")
+    if (kept is not None and kept[0] == repeats
+            and all(map(np.array_equal, firsts, kept[1]))):
+        return kept[2]
+    texts = [_plane_texts(comp, half, flags)
+             for comp, comp_repeats in zip(comps, repeats)
+             for half, flags in zip(("real", "imag"), comp_repeats)]
+    # FieldGrid is frozen, and the snapshot and texts are no field of it
+    object.__setattr__(grid, "_export_texts", (repeats, firsts, texts))
+    return texts
 
 
 def _csv_rows(r_phi: list[str], columns, z_texts: list[str]):
@@ -343,13 +382,18 @@ def export_grid(grid: FieldGrid, format: str) -> str:
     CSV rows run z-major, then phi, then r, under the fixed header
     `CSV_COLUMNS`. The JSON document stores the same samples (flat arrays in
     the same order) and round-trips bitwise through `load_grid_json`. Both
-    format one z-plane at a time, and a part of a plane (the real or
-    imaginary half of a component) bitwise equal to the same part of the
-    plane before reuses its text. In the CSV, a run of planes whose parts
-    all repeat has its rows assembled once and each plane's text is one
-    join of its z value; every other plane is assembled row by row.
+    take their numbers from one formatting pass per grid, kept on the grid
+    (`_part_texts`): the JSON items text of each z-plane of each component
+    part (the real or imaginary half of a component), where a part bitwise
+    equal to the same part of the plane before reuses its text. The CSV
+    splits a part's text into its column once per run of planes that share
+    it. A run of planes whose parts all repeat has its rows assembled once
+    and each plane's text is one join of its z value; every other plane is
+    assembled row by row.
     """
-    comps = [getattr(grid, name) for name in _FIELDS]
+    if format not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    texts = _part_texts(grid)
     if format == "csv":
         # the (r, phi) text of a row is the same in every z-plane: join it
         # once, phi-major like the rows
@@ -357,62 +401,53 @@ def export_grid(grid: FieldGrid, format: str) -> str:
         r_phi = [f"{r},{phi}" for phi in map(repr, grid.phi.tolist())
                  for r in r_text]
         lines = [",".join(CSV_COLUMNS)]
-        parts = [(comp, half, repeats) for comp in comps
-                 for half, repeats in zip(("real", "imag"), _repeats(comp))]
-        # the 12 column texts of each z-plane, one plane at a time
-        planes = zip(*(_plane_texts(*part, _csv_column) for part in parts))
         z_texts = list(map(repr, grid.z.tolist()))
-        # a run of planes starts at each plane with a part that does not
-        # repeat the plane before
-        flags = zip(*(repeats for *_, repeats in parts))
-        starts = [iz for iz, plane in enumerate(flags) if not all(plane)]
+        # a run of planes starts at each plane with a part whose text is
+        # not the one of the plane before
+        starts = [iz for iz in range(len(z_texts))
+                  if iz == 0 or any(part[iz] is not part[iz - 1] for part in texts)]
+        columns = []
         for start, stop in zip(starts, [*starts[1:], len(z_texts)]):
-            # the planes of a run share their column texts: keep the last
-            *_, columns = itertools.islice(planes, stop - start)
+            # a part whose text goes on from the run before keeps its column
+            columns = [columns[k] if start and part[start] is part[start - 1]
+                       else _csv_column(part[start])
+                       for k, part in enumerate(texts)]
             lines.extend(_csv_rows(r_phi, columns, z_texts[start:stop]))
         lines.append("")  # the final newline, without a second copy of the text
         return "\n".join(lines)
-    if format == "json":
-        mode = grid.mode
-        head = json.dumps({
-            "geometry": {
-                "radius_m": grid.geometry.a,
-                "height_m": grid.geometry.h,
-                "sector_rad": grid.geometry.phi0,
-                "eps_r": grid.geometry.eps_r,
-            },
-            "mode": {
-                "family": mode.family.value,
-                "v": mode.v,
-                "n": mode.n,
-                "p": mode.p,
-                "m": mode.m,
-            },
-            "shape": list(grid.shape),
-            "amplitude": grid.amplitude,
-            "axes": {
-                "r_m": grid.r.tolist(),
-                "phi_rad": grid.phi.tolist(),
-                "z_m": grid.z.tolist(),
-            },
-        })
-
-        def items(comp: np.ndarray, half: str, repeats: list[bool]) -> str:
-            # flat and z-major to match the CSV; an empty plane has no items
-            planes = _plane_texts(comp, half, repeats, _json_items)
-            return ", ".join(filter(None, planes))
-
-        # the components go last, as json.dumps(doc) would place them, in
-        # the layout `_read_export` reads back; one join copies each array's
-        # items into the document
-        pieces = [head[:-1], ', "components": {']
-        for name, comp in zip(_COMPONENT_NAMES, comps):
-            real, imag = _repeats(comp)
-            pieces += [f'"{name}": {{"re": [', items(comp, "real", real),
-                       '], "im": [', items(comp, "imag", imag), "]}", ", "]
-        pieces[-1] = "}}"  # close "components" and the document
-        return "".join(pieces)
-    raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    mode = grid.mode
+    head = json.dumps({
+        "geometry": {
+            "radius_m": grid.geometry.a,
+            "height_m": grid.geometry.h,
+            "sector_rad": grid.geometry.phi0,
+            "eps_r": grid.geometry.eps_r,
+        },
+        "mode": {
+            "family": mode.family.value,
+            "v": mode.v,
+            "n": mode.n,
+            "p": mode.p,
+            "m": mode.m,
+        },
+        "shape": list(grid.shape),
+        "amplitude": grid.amplitude,
+        "axes": {
+            "r_m": grid.r.tolist(),
+            "phi_rad": grid.phi.tolist(),
+            "z_m": grid.z.tolist(),
+        },
+    })
+    # the components go last, as json.dumps(doc) would place them, in the
+    # layout `_read_export` reads back, flat and z-major to match the CSV (an
+    # empty plane has no items); one join copies each array's items into
+    # the document
+    pieces = [head[:-1], ', "components": {']
+    for name, real, imag in zip(_COMPONENT_NAMES, texts[::2], texts[1::2]):
+        pieces += [f'"{name}": {{"re": [', ", ".join(filter(None, real)),
+                   '], "im": [', ", ".join(filter(None, imag)), "]}", ", "]
+    pieces[-1] = "}}"  # close "components" and the document
+    return "".join(pieces)
 
 
 def load_grid_json(doc: str) -> FieldGrid:
@@ -420,15 +455,15 @@ def load_grid_json(doc: str) -> FieldGrid:
 
     A document in the layout `export_grid` writes is read by `_read_export`,
     which parses a component's "re" or "im" array whose text is one
-    z-plane's text repeated (every plane of a p = 0 mode) once and tiles
-    it; json.loads reads any other document. Either way the grid is the one
-    json.loads would give. A document that is not an object, lacks a key,
-    holds a non-numeric or boolean geometry or mode number, an amplitude
-    that is not a positive finite number, axes that do not match its shape,
-    or a component "re" or "im" array of another length than
-    n_r * n_phi * n_z or with an item that is not a number (null, a
-    string), raises ValueError. Booleans in such an array load as 1.0 and
-    0.0, as float() reads them.
+    z-plane's text repeated (every plane of a p = 0 mode) once and fills
+    every plane from it; json.loads reads any other document. Either way
+    the grid is the one json.loads would give. A document that is not an
+    object, lacks a key, holds a non-numeric or boolean geometry or mode
+    number, an amplitude that is not a positive finite number, axes that
+    do not match its shape, or a component "re" or "im" array of another
+    length than n_r * n_phi * n_z or with an item that is not a number
+    (null, a string), raises ValueError. Booleans in such an array load as
+    1.0 and 0.0, as float() reads them.
     """
     data = _read_export(doc) if isinstance(doc, str) else None
     if data is None:
@@ -485,10 +520,11 @@ def _read_export(doc: str) -> dict | None:
 def _read_part(doc: str, start: int, shape) -> tuple[object, int]:
     """The array whose items start at doc[start], after its "[", and the
     index past its "]". When its text is one plane's text joined n_z times
-    by ", ", that plane is parsed once and tiled. A plane with no '"' or
-    '[' holds no string or nested array, so every ", " in the array text
-    falls between elements, and the tiled plane is what json would read.
-    Any other array is json's."""
+    by ", ", that plane is parsed once and returned broadcast to shape
+    (n_z, n_r * n_phi), without a copy. A plane with no '"' or '[' holds no
+    string or nested array, so every ", " in the array text falls between
+    elements, and the repeated plane is what json would read. Any other
+    array is json's."""
     if (isinstance(shape, list) and len(shape) == 3
             and all(type(count) is int and count > 0 for count in shape)):
         n_r, n_phi, n_z = shape
@@ -501,7 +537,7 @@ def _read_part(doc: str, start: int, shape) -> tuple[object, int]:
                         for at in range(start + width, close, width + 2))):
             values = _plane_values(plane, n_r * n_phi)
             if values is not None:
-                return np.tile(values, n_z), close + 1
+                return np.broadcast_to(values, (n_z, values.size)), close + 1
     return _DECODER.raw_decode(doc, start - 1)
 
 
@@ -536,7 +572,7 @@ def _grid_from_document(data: dict) -> FieldGrid:
     for name in _COMPONENT_NAMES:
         comp = data["components"][name]
         # filling the parts keeps -0.0; re + 1j * im would turn it into +0.0
-        flat = np.empty(n_r * n_phi * n_z, dtype=complex)
+        planes = np.empty((n_z, n_r * n_phi), dtype=complex)
         for half, key in (("real", "re"), ("imag", "im")):
             part = comp[key]
             if isinstance(part, list):
@@ -545,10 +581,14 @@ def _grid_from_document(data: dict) -> FieldGrid:
                 # conversion would read as nan or as the number in it
                 part = np.frombuffer(array.array("d", part))
             part = np.asarray(part, dtype=float)
-            if part.shape != flat.shape:  # numpy would broadcast [0.5] or 7
+            if part.shape == (planes.size,):
+                part = part.reshape(planes.shape)
+            # a repeated plane comes broadcast to planes.shape; numpy would
+            # also broadcast [0.5] or 7
+            if part.shape != planes.shape:
                 raise ValueError(
                     f"field grid component {name!r} {key!r} holds "
                     f"{part.size} values, but the shape is {data['shape']}")
-            setattr(flat, half, part)
-        arrays.append(flat.reshape(n_z, n_phi, n_r).transpose(2, 1, 0))
+            setattr(planes, half, part)
+        arrays.append(planes.reshape(n_z, n_phi, n_r).transpose(2, 1, 0))
     return FieldGrid(geom, mode, r, phi, z, *arrays, amplitude=amplitude)

@@ -413,6 +413,24 @@ def test_output_file(capsys, tmp_path):
     assert float(lines[1]) == pytest.approx(6.113, rel=1e-3)
 
 
+@pytest.mark.parametrize("cmd", ("freq", "field"))
+@pytest.mark.parametrize("where", ("directory", "missing-parent", "empty",
+                                   "nul-byte"))
+def test_output_failures_exit_1(capsys, tmp_path, cmd, where):
+    path = {"directory": str(tmp_path),
+            "missing-parent": str(tmp_path / "missing" / "out.csv"),
+            "empty": "",
+            "nul-byte": str(tmp_path / "out\0.csv")}[where]
+    extra = ["--n-r", "3", "--n-phi", "3", "--n-z", "1"] if cmd == "field" else []
+    code, out, err = run(capsys, cmd, *G, "--mode", TE210, *extra,
+                         "--output", path)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"cannot write {path!r}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_module_entry_point():
     # the package this suite imports, also where PYTHONPATH is unset
     src = str(Path(sectordra.__file__).resolve().parents[1])

@@ -331,21 +331,27 @@ def _record_csv_runs(monkeypatch):
 
 
 def test_repeated_planes_are_formatted_once(table1, monkeypatch):
-    # a p = 0 mode does not vary along z, so each part is formatted once,
-    # and the CSV rows of one plane are assembled: each plane is then one
-    # join of its z text
+    # a p = 0 mode does not vary along z, so each part is formatted once for
+    # both exports of a grid, and the CSV rows of one plane are assembled:
+    # each plane is then one join of its z text
     calls = []
-    for name in ("_csv_column", "_json_items"):
-        real = getattr(fields, name)
-        monkeypatch.setattr(fields, name,
-                            lambda part, real=real: calls.append(1) or real(part))
+    real = fields._json_items
+    monkeypatch.setattr(fields, "_json_items",
+                        lambda part: calls.append(1) or real(part))
     runs = _record_csv_runs(monkeypatch)
     grid = sample_grid(table1, _mode(2.0), 5, 4, 6)
-    for fmt in ("csv", "json"):
+
+    def export_both():
         calls.clear()
-        export_grid(grid, fmt)
-        assert len(calls) == 12  # six components, real and imaginary parts
-    assert runs == [6]
+        for fmt in ("csv", "json"):
+            export_grid(grid, fmt)
+        return len(calls)
+
+    assert export_both() == 12  # six components, real and imaginary parts
+    # an in-place edit, alike in every plane, is formatted once again
+    grid.H_z.real[1, 2, :] = 0.5
+    assert export_both() == 12
+    assert runs == [6, 6]
     # no plane of a p = 1 mode repeats: each has its rows assembled
     runs.clear()
     export_grid(sample_grid(table1, _mode(2.0, 1, 1), 5, 4, 6), "csv")
@@ -435,6 +441,99 @@ def test_plane_runs_match_the_references(table1, monkeypatch):
         for empty in (_sliced(grid, ir=slice(0)), _sliced(grid, iphi=slice(0)),
                       _sliced(grid, iz=slice(1))):
             _assert_exports_match_references(empty)
+
+
+# float64 bit patterns: any, and the ones where repr and json disagree or
+# that are easy to get wrong (zeros, subnormals, infinities, NaN payloads,
+# extreme exponents)
+_FLOAT_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([
+        *np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300,
+                   math.nan], dtype=float).view(np.uint64).tolist(),
+        0x7FF0_0000_0000_0001, 0xFFF8_0000_0000_0000, 0xFFFF_FFFF_FFFF_FFFF]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_FLOAT_BITS, max_size=48), st.booleans())
+def test_csv_columns_from_json_items_are_repr(table1, bits, repeat):
+    values = np.array(bits, dtype=np.uint64).view(float)
+    assert (fields._csv_column(fields._json_items(values))
+            == list(map(repr, values.tolist())))
+    if not bits:
+        return
+    # the same bits in every component of a grid, where plane 1 may repeat
+    # plane 0, through both exports
+    grid = sample_grid(table1, _mode(2.0, 1, 1), 2, 3, 3)
+    filled = np.resize(values, 6 * 2 * 18).view(complex).reshape(6, 2, 3, 3)
+    if repeat:
+        filled[:, :, :, 1] = filled[:, :, :, 0]
+    _assert_exports_match_references(
+        dataclasses.replace(grid, **dict(zip(_NAMES, filled))))
+
+
+_NAN_PAYLOAD = np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(float)[0]
+
+
+def _set_value(grid, iz):
+    grid.E_phi.imag[1, 2, iz] *= 3.0
+
+
+def _flip_zero_sign(grid, iz):
+    grid.E_z.real[2, 1, iz] = -0.0
+
+
+def _change_nan_payload(grid, iz):
+    grid.H_z.imag[1, 1, iz] = _NAN_PAYLOAD
+
+
+@pytest.mark.parametrize("p", (0, 1))
+@pytest.mark.parametrize("iz", (1, slice(None)), ids=("one-plane", "every-plane"))
+@pytest.mark.parametrize("edit", (_set_value, _flip_zero_sign,
+                                  _change_nan_payload))
+def test_in_place_edit_shows_in_the_next_export(table1, edit, iz, p):
+    # an edit in every plane leaves each plane repeating the one before
+    # where it did, so only the kept planes' bits can tell the grid changed
+    grid = sample_grid(table1, _mode(2.0, 1, p), 4, 3, 3)
+    grid.H_z.imag[1, 1, :] = math.nan
+    export_grid(grid, "csv")
+    texts = fields._part_texts(grid)
+    assert fields._part_texts(grid) is texts  # unchanged: kept
+    edit(grid, iz)
+    # a NaN payload changes neither export, but the grid's bits: the texts
+    # are made again, as after any other edit
+    assert fields._part_texts(grid) is not texts
+    for fmt, reference in (("json", _json_dumps), ("csv", _csv_row_loop)):
+        assert export_grid(grid, fmt).encode() == reference(grid).encode()
+
+
+def test_export_order_does_not_matter(table1):
+    for p in (0, 1):
+        def make():
+            return sample_grid(table1, _mode(2.0, 1, p), 4, 3, 3)
+
+        csv_first = make()
+        docs = (export_grid(csv_first, "csv"), export_grid(csv_first, "json"))
+        json_first = make()
+        assert export_grid(json_first, "json") == docs[1]
+        assert export_grid(json_first, "csv") == docs[0]
+        assert (export_grid(make(), "csv"), export_grid(make(), "json")) == docs
+
+
+def test_replaced_grid_formats_its_own_components(table1):
+    grid = sample_grid(table1, _mode(2.0), 4, 3, 3)
+    export_grid(grid, "json")
+
+    def scale(comps):
+        for comp in comps.values():
+            comp *= 2.0
+
+    copy = _with_planes(grid, scale)
+    assert "_export_texts" not in vars(copy)
+    assert "_export_texts" not in vars(dataclasses.replace(grid))
+    _assert_exports_match_references(copy)
+    assert export_grid(copy, "json") != export_grid(grid, "json")
 
 
 def test_csv_and_json_agree(table1):
