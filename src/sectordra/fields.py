@@ -20,7 +20,12 @@ diverge, which is the real edge singularity of reentrant sectors, and
 evaluation at r = 0 is refused.
 
 Grids are sampled on uniform nodes with endpoints included and rescaled so
-the largest |H_z| equals the requested amplitude (1 by default).
+the largest |H_z| equals the requested amplitude (1 by default). There node
+n_z - 1 - k stands for h - z_k, and cos(k_z (h - z)) = (-1)^p cos(k_z z),
+sin(k_z (h - z)) = -(-1)^p sin(k_z z): for p >= 1 each interior z-plane
+past the middle takes its axial factor from its mirror plane k, so that it
+is bitwise plane k or its negation (each within an ulp or two of the direct
+value), and the export formats and the loader parses one plane of a pair.
 """
 
 from __future__ import annotations
@@ -66,11 +71,12 @@ CSV_COLUMNS = (
 # the FieldSample and FieldGrid attributes, and their JSON keys
 _FIELDS = ("E_r", "E_phi", "E_z", "H_r", "H_phi", "H_z")
 _COMPONENT_NAMES = ("Er", "Ephi", "Ez", "Hr", "Hphi", "Hz")
-# nodes per grid (n_r * n_phi * n_z). At 64^3 on a 2-vCPU VM, with 87 MB of
+# nodes per grid (n_r * n_phi * n_z). At 64^3 on a 2-vCPU VM, with 88 MB of
 # process peak before the export, a grid's first export: CSV 0.1 s and
-# 163 MB peak at p = 0, 2.2 s and 241 MB at p = 1; JSON 0.1 s and 134 MB at
-# p = 0, 1.1-1.8 s and 196 MB at p = 1. The second export of the grid reuses
-# its number texts: JSON after CSV takes 0.1 s at p = 1
+# 163 MB peak at p = 0, 1.3 s and 219 MB at p = 1; JSON 0.1 s and 133 MB at
+# p = 0, 0.7 s and 174 MB at p = 1. The second export of the grid reuses its
+# number texts: JSON after CSV takes 0.1 s at p = 1. A p = 1 load takes
+# 0.4-0.55 s
 _MAX_NODES = 2**18
 
 
@@ -112,15 +118,19 @@ class BoundaryResiduals:
 
 
 def _components(geom: SectorGeometry, mode: ModeSpec, r: np.ndarray,
-                phi: np.ndarray, z: np.ndarray,
-                amplitude: float | None = None) -> tuple[np.ndarray, ...]:
+                phi: np.ndarray, z: np.ndarray, amplitude: float | None = None,
+                mirrored: bool = False) -> tuple[np.ndarray, ...]:
     """(E_r, E_phi, E_z, H_r, H_phi, H_z) on the outer product of the node
     arrays r, phi and z: complex arrays of shape (len(r), len(phi), len(z)).
 
     The scale is A E = 1, or with an amplitude, such that max |H_z| over
     the nodes equals it. Nodes on the axis (r = 0) take the limits of the
     module docstring; for 0 < v < 1 they raise ValueError. A component that
-    overflows is returned as inf or NaN, for the caller to check.
+    overflows is returned as inf or NaN, for the caller to check. When z
+    is `mirrored`, node n_z - 1 - k standing for h - z[k], the axial
+    factors of a p >= 1 mode at each interior node past the middle are
+    those of node k times (-1)^p (cos) and -(-1)^p (sin), so that z-plane
+    n_z - 1 - k of each component is bitwise plane k or its negation.
     """
     wn = wavenumbers(geom, mode)
     omega = 2.0 * math.pi * resonant_frequency(geom, mode)
@@ -141,6 +151,14 @@ def _components(geom: SectorGeometry, mode: ModeSpec, r: np.ndarray,
     sin_v = np.sin(v * phi)
     cos_z = np.cos(wn.k_z * z)
     sin_z = np.sin(wn.k_z * z)
+    if mirrored and mode.p:
+        # cos(k_z (h - z)) = (-1)^p cos(k_z z), sin(k_z (h - z)) =
+        # -(-1)^p sin(k_z z); the caps keep their own values (sin(k_z h) is
+        # roundoff, not -0.0)
+        k = np.arange(1, len(z) // 2)
+        sign = -1.0 if mode.p % 2 else 1.0
+        cos_z[-1 - k] = sign * cos_z[k]
+        sin_z[-1 - k] = -sign * sin_z[k]
 
     def outer(radial: np.ndarray, azim: np.ndarray,
               axial: np.ndarray = cos_z) -> np.ndarray:
@@ -155,9 +173,13 @@ def _components(geom: SectorGeometry, mode: ModeSpec, r: np.ndarray,
                              "(all radial nodes sit on zeros of J_v)")
         scale = amplitude / peak
 
+    # E is imaginary: its part is assigned, since multiplying by 1j would
+    # add +0.0 to it and so lose the sign of its zeros
+    e_r = np.zeros(h_z.shape, dtype=complex)
+    e_phi = np.zeros_like(e_r)
     with np.errstate(over="ignore", invalid="ignore"):
-        e_r = 1j * omega * MU_0 / kr2 * scale * outer(vj_r, sin_v)
-        e_phi = 1j * omega * MU_0 / kr2 * scale * outer(kjp, cos_v)
+        e_r.imag = omega * MU_0 / kr2 * scale * outer(vj_r, sin_v)
+        e_phi.imag = omega * MU_0 / kr2 * scale * outer(kjp, cos_v)
         h_r = -wn.k_z / kr2 * scale * outer(kjp, cos_v, sin_z)
         h_phi = wn.k_z / kr2 * scale * outer(vj_r, sin_v, sin_z)
         return (e_r, e_phi, np.zeros_like(e_r), h_r.astype(complex),
@@ -254,7 +276,7 @@ def sample_grid(geom: SectorGeometry, mode: ModeSpec, n_r: int, n_phi: int,
     r = np.linspace(0.0, geom.a, n_r)
     phi = np.linspace(0.0, geom.phi0, n_phi)
     z = np.linspace(0.0, geom.h, n_z) if n_z > 1 else np.zeros(1)
-    comps = _components(geom, mode, r, phi, z, amplitude)
+    comps = _components(geom, mode, r, phi, z, amplitude, mirrored=True)
     if not all(np.isfinite(comp).all() for comp in comps):
         raise ValueError(f"field components overflow at amplitude {amplitude}")
     return FieldGrid(geom, mode, r, phi, z, *comps, amplitude=amplitude)
@@ -312,26 +334,77 @@ def _bits(comp: np.ndarray) -> np.ndarray:
     return np.asarray(comp, dtype=complex).view(np.dtype((np.uint64, 2)))
 
 
-def _repeats(bits: np.ndarray) -> list[list[bool]]:
-    """For the real and for the imaginary half of a component's `_bits`:
-    whether each z-plane is bitwise equal to the plane before it (never the
-    first). Every plane of a p = 0 mode repeats, since its fields do not
-    vary along z."""
-    repeats = np.zeros((bits.shape[2], 2), dtype=bool)
+def _plane_sources(n_z: int, repeats, copies, negates) -> list:
+    """Where each of n_z z-planes takes its text (or, on load, its values)
+    from, by one rule for the exporter and the loader: (k - 1, False) for
+    a plane k that `repeats(k)` the plane before; else, for a plane in the
+    upper half, (n_z - 1 - k, False) where it `copies(k)` its mirror plane
+    n_z - 1 - k, and (n_z - 1 - k, True) where it `negates(k)` the mirror;
+    else None, for a plane formatted or parsed anew. A predicate is asked
+    only where the ones before it failed. Every plane of a p = 0 mode
+    repeats, and every interior upper plane of a p >= 1 `sample_grid`
+    copies or negates its mirror."""
+    sources = []
+    for k in range(n_z):
+        mirror = n_z - 1 - k
+        if k and repeats(k):
+            sources.append((k - 1, False))
+        elif mirror < k and copies(k):
+            sources.append((mirror, False))
+        elif mirror < k and negates(k):
+            sources.append((mirror, True))
+        else:
+            sources.append(None)
+    return sources
+
+
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _component_sources(bits: np.ndarray) -> list[list]:
+    """_plane_sources of the real and of the imaginary half of a component's
+    `_bits`, each plane compared bitwise with the plane before, with its
+    mirror, and with the mirror with every sign bit flipped, in whole-array
+    comparisons. The mirrors are not compared when every plane repeats."""
+    n_z, half = bits.shape[2], bits.shape[2] // 2
+    repeats = np.zeros((n_z, 2), dtype=bool)
     repeats[1:] = (bits[:, :, 1:] == bits[:, :, :-1]).all(axis=(0, 1))
-    return repeats.T.tolist()
+    copies, negates = np.zeros((2, n_z, 2), dtype=bool)
+    if not repeats[1:].all():
+        # the upper half of the planes against their mirrors, in order
+        diff = bits[:, :, n_z - half:] ^ bits[:, :, half - 1::-1]
+        copies[n_z - half:] = (diff == 0).all(axis=(0, 1))
+        negates[n_z - half:] = (diff == _SIGN_BIT).all(axis=(0, 1))
+    return [_plane_sources(n_z, *(flags.__getitem__ for flags in part))
+            for part in zip(repeats.T.tolist(), copies.T.tolist(),
+                            negates.T.tolist())]
 
 
-def _plane_texts(comp: np.ndarray, half: str, repeats: list[bool]) -> list[str]:
+def _toggled(items: str) -> str:
+    """The JSON items text `items`, separated by ", ", with a "-" put in
+    front of each item or taken off it: json's text of the negated floats,
+    unless one is a NaN, which json writes without its sign."""
+    return ("-" + items.replace(", ", ", -")).replace("--", "") if items else ""
+
+
+def _plane_texts(comp: np.ndarray, half: str,
+                 sources: list) -> tuple[list[str], list[int]]:
     """_json_items of the real or imaginary `half` of each z-plane of a
-    component, flattened phi-major; where `repeats` says a plane is bitwise
-    equal to the plane before, the text object of the plane before."""
-    texts = []
-    for iz, repeat in enumerate(repeats):
-        if not repeat:
+    component, flattened phi-major, and the planes formatted. A plane with
+    a source takes the text object of its source plane, or that text
+    `_toggled` if it holds no NaN."""
+    texts, formatted = [], []
+    for iz, source in enumerate(sources):
+        text = None
+        if source is not None:
+            text = texts[source[0]]
+            if source[1]:
+                text = None if "N" in text else _toggled(text)
+        if text is None:
             text = _json_items(getattr(comp[:, :, iz].T.ravel(), half))
+            formatted.append(iz)
         texts.append(text)
-    return texts
+    return texts, formatted
 
 
 def _part_texts(grid: FieldGrid) -> list[list[str]]:
@@ -342,24 +415,25 @@ def _part_texts(grid: FieldGrid) -> list[list[str]]:
     The texts are kept on the grid with a snapshot of its components, and
     reused while the components still match it in shape and bits, so an
     in-place edit shows in the next export. The snapshot holds each part's
-    `_repeats` flags and the bits of every plane that does not repeat the
-    plane before in both parts; the flags give the bits of the others.
-    Neither is a dataclass field, so a `dataclasses.replace` copy starts
-    without them."""
+    `_plane_sources` and a copy of the bits of each plane it formatted;
+    the sources give the bits of the others. Neither is a dataclass field,
+    so a `dataclasses.replace` copy starts without them."""
     comps = [getattr(grid, name) for name in _FIELDS]
     bits = list(map(_bits, comps))
-    repeats = list(map(_repeats, bits))
-    firsts = [comp_bits[:, :, ~np.logical_and(*flags)]  # a copy of the planes
-              for comp_bits, flags in zip(bits, repeats)]
+    sources = list(map(_component_sources, bits))
     kept = vars(grid).get("_export_texts")
-    if (kept is not None and kept[0] == repeats
-            and all(map(np.array_equal, firsts, kept[1]))):
+    if (kept is not None and kept[0] == sources
+            and all(np.array_equal(bits[c][:, :, iz, h], plane)
+                    for c, h, iz, plane in kept[1])):
         return kept[2]
-    texts = [_plane_texts(comp, half, flags)
-             for comp, comp_repeats in zip(comps, repeats)
-             for half, flags in zip(("real", "imag"), comp_repeats)]
+    texts, planes = [], []
+    for c, (comp, comp_sources) in enumerate(zip(comps, sources)):
+        for h, (half, part_sources) in enumerate(zip(("real", "imag"), comp_sources)):
+            part_texts, formatted = _plane_texts(comp, half, part_sources)
+            texts.append(part_texts)
+            planes += [(c, h, iz, bits[c][:, :, iz, h].copy()) for iz in formatted]
     # FieldGrid is frozen, and the snapshot and texts are no field of it
-    object.__setattr__(grid, "_export_texts", (repeats, firsts, texts))
+    object.__setattr__(grid, "_export_texts", (sources, planes, texts))
     return texts
 
 
@@ -524,7 +598,7 @@ def _read_part(doc: str, start: int, shape) -> tuple[object, int]:
     (n_z, n_r * n_phi), without a copy. A plane with no '"' or '[' holds no
     string or nested array, so every ", " in the array text falls between
     elements, and the repeated plane is what json would read. Any other
-    array is json's."""
+    array is `_read_planes`', or else json's."""
     if (isinstance(shape, list) and len(shape) == 3
             and all(type(count) is int and count > 0 for count in shape)):
         n_r, n_phi, n_z = shape
@@ -538,7 +612,57 @@ def _read_part(doc: str, start: int, shape) -> tuple[object, int]:
             values = _plane_values(plane, n_r * n_phi)
             if values is not None:
                 return np.broadcast_to(values, (n_z, values.size)), close + 1
+        else:
+            values = _read_planes(doc[start:close], n_r * n_phi, n_z)
+            if values is not None:
+                return values, close + 1
     return _DECODER.raw_decode(doc, start - 1)
+
+
+def _read_planes(text: str, size: int, n_z: int) -> np.ndarray | None:
+    """What json reads from the array items text `text`, as n_z planes of
+    `size` floats; None unless `text` is ASCII with no '"', '[', '{', l or
+    r (no string, array, object, true, false or null), its only whitespace
+    is one space after each comma, and json reads no integer in it. Every
+    comma then falls between items, and every size-th one between planes.
+    A plane whose text equals the one before or its mirror, or is its
+    mirror `_toggled` where that holds no NaN, takes their values, as
+    `_plane_sources` orders it, or their negated values: each number is
+    the mirror's with a "-" put in front or taken off (json reads "0" and
+    "-0" alike, as the integer 0). The other planes are parsed in one
+    json.loads."""
+    if not text.isascii() or any(mark in text for mark in '"[{lr'):
+        return None
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    commas = np.flatnonzero(data == ord(","))
+    # as many whitespace (or control) bytes as commas, one after each comma
+    if (commas.size != n_z * size - 1 or text.endswith(",")
+            or np.count_nonzero(data <= ord(" ")) != commas.size
+            or not (data[commas + 1] == ord(" ")).all()):
+        return None
+    ends = commas[size - 1::size].tolist()
+    planes = [text[begin:end] for begin, end
+              in zip([0, *(end + 2 for end in ends)], [*ends, len(text)])]
+    sources = _plane_sources(
+        n_z, lambda k: planes[k] == planes[k - 1],
+        lambda k: planes[k] == planes[-1 - k],
+        lambda k: "N" not in planes[-1 - k] and planes[k] == _toggled(planes[-1 - k]))
+    parsed = [k for k, source in enumerate(sources) if source is None]
+    try:
+        items = json.loads(f"[{', '.join(planes[k] for k in parsed)}]",
+                           parse_int=_refuse_integer)
+    except ValueError:
+        return None
+    values = np.empty((n_z, size))
+    values[parsed] = np.reshape(array.array("d", items), (len(parsed), size))
+    for k, source in enumerate(sources):
+        if source is not None:
+            values[k] = -values[source[0]] if source[1] else values[source[0]]
+    return values
+
+
+def _refuse_integer(text: str):
+    raise ValueError(f"integer item {text}")
 
 
 def _plane_values(text: str, size: int) -> np.ndarray | None:

@@ -23,6 +23,7 @@ problem outside this model's scope.
 
 from __future__ import annotations
 
+import array
 import enum
 import math
 from dataclasses import dataclass
@@ -319,13 +320,19 @@ def _shape(entries) -> tuple[int, int, int]:
 
 def tissue_grid_from_json(text: str) -> TissueGrid:
     """Parse the JSON tissue file: header keys shape, voxel_m, p_in_w and
-    flat sigma/rho/e_mag arrays in x-major order."""
+    flat sigma/rho/e_mag arrays of numbers in x-major order. Booleans in an
+    array load as 1.0 and 0.0, as the field grid loader reads them; a
+    string, null, nested array or bare number raises ValueError."""
     data = json_object(text, "tissue grid document")
     try:
         shape = _shape(data["shape"])
         voxel = float(data["voxel_m"])
         p_in = float(data["p_in_w"])
-        arrays = {k: np.array(data[k], dtype=float) for k in ("sigma", "rho", "e_mag")}
+        # array("d") takes the JSON numbers and booleans, and raises
+        # TypeError at anything else, which numpy's float conversion would
+        # read as a number, a nan or a nested array
+        arrays = {k: np.frombuffer(array.array("d", data[k]))
+                  for k in ("sigma", "rho", "e_mag")}
     except KeyError as exc:
         raise ValueError(f"tissue grid document is missing key {exc}") from None
     except (TypeError, OverflowError) as exc:

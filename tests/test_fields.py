@@ -358,6 +358,84 @@ def test_repeated_planes_are_formatted_once(table1, monkeypatch):
     assert runs == [1] * 6
 
 
+@pytest.mark.parametrize("n_z", (4, 5, 33))
+@pytest.mark.parametrize("p", (1, 2, 3))
+def test_sampled_planes_mirror(table1, p, n_z):
+    # interior plane n_z - 1 - k is bitwise plane k times (-1)^p in the
+    # parts that carry cos(k_z z), and times -(-1)^p in those that carry
+    # sin(k_z z); the parts that vanish are +0.0 throughout
+    for mode in (_mode(2.0, 1, p), ModeSpec.explicit(ModeFamily.EH, 1.0, 1, p)):
+        grid = sample_grid(table1, mode, 6, 5, n_z)
+        sign = (-1.0) ** p
+        for part, factor in ((grid.E_r.imag, sign), (grid.E_phi.imag, sign),
+                             (grid.H_z.real, sign), (grid.H_r.real, -sign),
+                             (grid.H_phi.real, -sign)):
+            assert np.any(part != 0.0)
+            for k in range(1, n_z):
+                if k < n_z - 1 - k:
+                    assert (part[:, :, n_z - 1 - k].tobytes()
+                            == (factor * part[:, :, k]).tobytes())
+        for part in (grid.E_r.real, grid.E_phi.real, grid.E_z.real,
+                     grid.E_z.imag, grid.H_r.imag, grid.H_phi.imag,
+                     grid.H_z.imag):
+            assert not np.ascontiguousarray(part).view(np.uint64).any()
+
+
+def test_mirror_planes_are_formatted_once(table1, monkeypatch):
+    # of the 33 planes of a p = 1 part, the 15 interior ones past the middle
+    # take the text of their mirror, as is or with its signs toggled
+    counts = []
+    real_items, real_texts = fields._json_items, fields._plane_texts
+
+    def plane_texts(*args):
+        counts.append(0)
+        return real_texts(*args)
+
+    def json_items(part):
+        counts[-1] += 1
+        return real_items(part)
+
+    monkeypatch.setattr(fields, "_plane_texts", plane_texts)
+    monkeypatch.setattr(fields, "_json_items", json_items)
+    export_grid(sample_grid(table1, _mode(2.0, 1, 1), 5, 4, 33), "json")
+    assert len(counts) == 12 and max(counts) <= 18
+
+
+def _break_one_mirror_value(comps):
+    comps["H_z"].real[2, 1, -2] *= 1.0 + 2.0 ** -50
+
+
+def _flip_one_mirror_zero(comps):
+    # E_r carries sin(v phi), which is 0 on the face phi = 0
+    assert comps["E_r"].imag[3, 0, -2] == 0.0
+    comps["E_r"].imag[3, 0, -2] *= -1.0
+
+
+def _nan_in_mirror_planes(comps):
+    # with the sign bit flipped in the mirror plane, as a negation would
+    # leave it; json writes both without a sign
+    comps["E_phi"].imag[1, 2, 1] = math.nan
+    comps["E_phi"].imag[1, 2, -2] = -math.nan
+    comps["H_r"].real[2, 3, 2] = math.nan
+    comps["H_r"].real[2, 3, -3] = math.nan
+
+
+@pytest.mark.parametrize("p", (1, 2))
+@pytest.mark.parametrize("edit", (_break_one_mirror_value, _flip_one_mirror_zero,
+                                  _nan_in_mirror_planes))
+def test_edited_mirror_planes_match_the_references(table1, edit, p):
+    grid = sample_grid(table1, _mode(2.0, 1, p), 5, 4, 6)
+    edited = _with_planes(grid, edit)
+    _assert_exports_match_references(edited)
+    for fmt in ("csv", "json"):
+        assert export_grid(edited, fmt) != export_grid(grid, fmt)
+    # json reads a NaN without a sign: the loads are held to json.loads
+    doc = export_grid(edited, "json")
+    back, want = load_grid_json(doc), load_grid_json_reference(doc)
+    for name in _NAMES:
+        assert getattr(back, name).tobytes() == getattr(want, name).tobytes()
+
+
 def _with_planes(grid, edit):
     comps = {name: getattr(grid, name).copy()
              for name in ("E_r", "E_phi", "E_z", "H_r", "H_phi", "H_z")}
@@ -706,6 +784,32 @@ def _plane_item(draw, doc):
     return json.dumps(data)
 
 
+# items for both planes of a mirror pair: numbers whose sign json reads or
+# writes apart from their value (0, NaN), and items that no JSON signs
+_MIRROR_ITEMS = ("0", "-0", "0.0", "-0.0", "NaN", "Infinity", "1e400", "true",
+                 "null", '"]"', "{}", "[]")
+
+
+def _mirror_item(draw, doc):
+    # one item text, at one node of plane k and of its mirror n_z - 1 - k
+    # in a part that varies along z, there as is or with its sign toggled
+    data = json.loads(doc)
+    n_r, n_phi, n_z = data["shape"]
+    name, key = draw(st.sampled_from((("Er", "im"), ("Ephi", "im"), ("Hr", "re"),
+                                      ("Hphi", "re"), ("Hz", "re"))))
+    part = data["components"][name][key]
+    k, node = draw(st.integers(0, n_z - 1)), draw(st.integers(0, n_r * n_phi - 1))
+    item = draw(st.sampled_from(_MIRROR_ITEMS))
+    toggled = item[1:] if item.startswith("-") else "-" + item
+    texts = (item, toggled if draw(st.booleans()) else item)
+    for iz, marker in ((k, "@k@"), (n_z - 1 - k, "@mirror@")):
+        part[iz * n_r * n_phi + node] = marker
+    doc = json.dumps(data)
+    for marker, text in zip(("@k@", "@mirror@"), texts):
+        doc = doc.replace(f'"{marker}"', text)
+    return doc
+
+
 def _truncate(draw, doc):
     return doc[:draw(st.integers(0, max(len(doc) - 1, 0)))]
 
@@ -715,8 +819,8 @@ def _trailing(draw, doc):
 
 
 _EDITS = (_redump(indent=1), _redump(separators=(",", ":")),
-          _components_first, _duplicate_key, _plane_item, _truncate,
-          _trailing)
+          _components_first, _duplicate_key, _plane_item, _mirror_item,
+          _truncate, _trailing)
 
 
 @st.composite
@@ -778,9 +882,62 @@ def _bracket_string(doc):
     return json.dumps(data)  # the exporter's own layout, as json.dumps writes it
 
 
+def _compact_part(doc):
+    # "," between the items of one component array, where json writes ", "
+    start = doc.index('"Hz": {"re": [') + len('"Hz": {"re": [')
+    end = doc.index("]", start)
+    return doc[:start] + doc[start:end].replace(", ", ",") + doc[end:]
+
+
+def _blank_before_comma(doc):
+    # " ," between the first two z-planes of H_r's real parts: as many
+    # blanks as commas, but one not after its comma
+    n_r, n_phi, _ = json.loads(doc)["shape"]
+    at = doc.index('"Hr": {"re": [')
+    for _ in range(n_r * n_phi):
+        at = doc.index(", ", at) + 2
+    return doc[:at - 2] + " ," + doc[at:]
+
+
+def _signed_nan(doc):
+    # NaN at a node of the first z-plane of H_z and -NaN, which is no JSON,
+    # at the node of the last, whose other numbers negate the first's at p = 1
+    data = json.loads(doc)
+    n_r, n_phi, n_z = data["shape"]
+    part = data["components"]["Hz"]["re"]
+    part[0], part[(n_z - 1) * n_r * n_phi] = math.nan, "@"
+    return json.dumps(data).replace('"@"', "-NaN")
+
+
+def _signed_blank(doc):
+    # a second blank after the first comma of H_z's first z-plane of real
+    # parts, and the last plane that text with each item's sign toggled,
+    # which puts "- " (no JSON) before a number
+    n_r, n_phi, _ = json.loads(doc)["shape"]
+    start = doc.index('"Hz": {"re": [') + len('"Hz": {"re": [')
+    end = doc.index("]", start)
+    items = doc[start:end].split(", ")
+    first = ", ".join(items[:n_r * n_phi]).replace(", ", ",  ", 1)
+    last = ", ".join(("-" + item).replace("--", "") for item in first.split(", "))
+    return (doc[:start] + ", ".join([first, *items[n_r * n_phi:-n_r * n_phi], last])
+            + doc[end:])
+
+
+def _trailing_comma(doc):
+    # H_z's last real part replaced by " ,": as many blanks as commas again
+    start = doc.index('"Hz": {"re": [')
+    end = doc.index("]", start)
+    return doc[:doc.rindex(", ", start, end)] + " ," + doc[end:]
+
+
 # (name, edit, whether the exporter layout reader takes the document,
 # whether it loads)
 _LAYOUT_EDITS = [
+    ("compact-part", _compact_part, True, True),
+    ("blank-before-comma", _blank_before_comma, True, True),
+    ("signed-nan", _signed_nan, False, False),
+    ("signed-blank", _signed_blank, False, False),
+    ("trailing-comma", _trailing_comma, False, False),
     ("trailing-newline", lambda doc: doc + "\n", True, True),
     # an object inside "axes" that holds "components" ahead of the real one
     ("nested-components", lambda doc: doc.replace(

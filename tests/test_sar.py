@@ -281,6 +281,32 @@ def test_file_round_trips():
         assert np.array_equal(back.e_mag, grid.e_mag)
 
 
+def _tissue_document(count):
+    return {"shape": [count, 1, 1], "voxel_m": 0.002, "p_in_w": 1.0,
+            "sigma": [0.8] * count, "rho": [1000.0] * count,
+            "e_mag": [10.0] * count}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sigma", ["0.8", "0.9"]), ("sigma", [" 1e3", 1000]),
+    ("rho", [[1000.0], [1000.0]]), ("e_mag", [None, 10.0]), ("sigma", 0.8),
+], ids=["strings", "padded-string", "nested", "null", "bare-number"])
+def test_tissue_json_rejects_non_numbers(key, value):
+    # numpy's float conversion loaded each of these (a bare number as the
+    # one voxel of a 1 x 1 x 1 grid, null as nan)
+    doc = _tissue_document(len(value) if isinstance(value, list) else 1)
+    doc[key] = value
+    with pytest.raises(ValueError, match="malformed value"):
+        tissue_grid_from_json(json.dumps(doc))
+
+
+def test_tissue_json_reads_booleans_as_numbers():
+    # as a field grid's component arrays do
+    doc = _tissue_document(2)
+    doc["sigma"] = [True, False]
+    assert tissue_grid_from_json(json.dumps(doc)).sigma.ravel().tolist() == [1.0, 0.0]
+
+
 def test_file_error_paths():
     grid = _random_grid(seed=2, shape=(3, 4, 5))
     jdoc, cdoc, sidecar = _grid_documents(grid)
