@@ -31,6 +31,7 @@ value), and the export formats and the loader parses one plane of a pair.
 from __future__ import annotations
 
 import array
+import functools
 import itertools
 import json
 import math
@@ -71,12 +72,13 @@ CSV_COLUMNS = (
 # the FieldSample and FieldGrid attributes, and their JSON keys
 _FIELDS = ("E_r", "E_phi", "E_z", "H_r", "H_phi", "H_z")
 _COMPONENT_NAMES = ("Er", "Ephi", "Ez", "Hr", "Hphi", "Hz")
-# nodes per grid (n_r * n_phi * n_z). At 64^3 on a 2-vCPU VM, with 88 MB of
-# process peak before the export, a grid's first export: CSV 0.1 s and
-# 163 MB peak at p = 0, 1.3 s and 219 MB at p = 1; JSON 0.1 s and 133 MB at
-# p = 0, 0.7 s and 174 MB at p = 1. The second export of the grid reuses its
-# number texts: JSON after CSV takes 0.1 s at p = 1. A p = 1 load takes
-# 0.4-0.55 s
+# nodes per grid (n_r * n_phi * n_z). At 64^3 on a 2-vCPU VM, with 94 MB of
+# process peak after sampling (88 MB before the grid copied the kernel's
+# arrays), a grid's first export: CSV 0.1 s and 162 MB peak at p = 0,
+# 0.8-1.0 s and 213 MB at p = 1; JSON 0.05-0.09 s and 133 MB at p = 0,
+# 0.55-1.1 s and 169 MB at p = 1. The second export reuses the grid's
+# texts: JSON after CSV takes 0.03-0.06 s. A load takes 0.06-0.1 s at
+# p = 0 and 0.5-0.6 s at p = 1
 _MAX_NODES = 2**18
 
 
@@ -121,7 +123,8 @@ def _components(geom: SectorGeometry, mode: ModeSpec, r: np.ndarray,
                 phi: np.ndarray, z: np.ndarray, amplitude: float | None = None,
                 mirrored: bool = False) -> tuple[np.ndarray, ...]:
     """(E_r, E_phi, E_z, H_r, H_phi, H_z) on the outer product of the node
-    arrays r, phi and z: complex arrays of shape (len(r), len(phi), len(z)).
+    arrays r, phi and z, arrays of shape (len(r), len(phi), len(z)): E_r and
+    E_phi complex, the real E_z (zero) and H components as floats.
 
     The scale is A E = 1, or with an amplitude, such that max |H_z| over
     the nodes equals it. Nodes on the axis (r = 0) take the limits of the
@@ -182,8 +185,7 @@ def _components(geom: SectorGeometry, mode: ModeSpec, r: np.ndarray,
         e_phi.imag = omega * MU_0 / kr2 * scale * outer(kjp, cos_v)
         h_r = -wn.k_z / kr2 * scale * outer(kjp, cos_v, sin_z)
         h_phi = wn.k_z / kr2 * scale * outer(vj_r, sin_v, sin_z)
-        return (e_r, e_phi, np.zeros_like(e_r), h_r.astype(complex),
-                h_phi.astype(complex), (scale * h_z).astype(complex))
+        return (e_r, e_phi, np.zeros(h_z.shape), h_r, h_phi, scale * h_z)
 
 
 def field_at(geom: SectorGeometry, mode: ModeSpec, point: CylPoint) -> FieldSample:
@@ -211,9 +213,11 @@ class FieldGrid:
     """Dense field samples on a uniform (r, phi, z) grid, endpoints included.
 
     Component arrays are complex with shape (n_r, n_phi, n_z) and are scaled
-    so that max |H_z| equals `amplitude`. `export_grid` keeps the number
-    text of the components on the grid, for as long as they stay bitwise
-    unchanged.
+    so that max |H_z| equals `amplitude`. A grid is a value: it holds a
+    read-only copy of each of its nine arrays (complex for the components),
+    so writing an element raises ValueError, and a change to an array it
+    was built from does not reach it. Its export number texts are made once,
+    on its first export.
     """
 
     geometry: SectorGeometry
@@ -229,6 +233,19 @@ class FieldGrid:
     H_z: np.ndarray
     amplitude: float = 1.0
 
+    def __post_init__(self) -> None:
+        for name in ("r", "phi", "z", *_FIELDS):
+            dtype = complex if name in _FIELDS else None
+            values = np.array(getattr(self, name), dtype=dtype)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)  # the dataclass is frozen
+
+    def __reduce__(self):
+        # a copy or a pickled grid is built anew, so its arrays are
+        # read-only too and its texts are its own
+        return type(self), tuple(getattr(self, name)
+                                 for name in self.__dataclass_fields__)
+
     @property
     def shape(self) -> tuple[int, int, int]:
         return (len(self.r), len(self.phi), len(self.z))
@@ -238,6 +255,20 @@ class FieldGrid:
         point = CylPoint(float(self.r[ir]), float(self.phi[iphi]), float(self.z[iz]))
         return FieldSample(point, *(complex(getattr(self, name)[ir, iphi, iz])
                                     for name in _FIELDS))
+
+    @functools.cached_property
+    def _export_texts(self) -> list[list[str]]:
+        """The JSON items text of each z-plane of the grid's 12 component
+        parts (the real, then the imaginary half of each of `_FIELDS`), from
+        which both exports take their numbers. No dataclass field, so a
+        `dataclasses.replace` copy makes its own."""
+        texts = []
+        for name in _FIELDS:
+            comp = getattr(self, name)
+            for half, sources in zip(("real", "imag"),
+                                     _component_sources(_bits(comp))):
+                texts.append(_plane_texts(comp, half, sources))
+        return texts
 
 
 def _validate_counts(mode: ModeSpec, n_r: int, n_phi: int, n_z: int) -> None:
@@ -328,10 +359,10 @@ def _csv_column(items: str) -> list[str]:
 
 
 def _bits(comp: np.ndarray) -> np.ndarray:
-    """A component's (real, imaginary) pair of uint64 per node, whatever its
-    strides: equal bits are what tobytes() compares, so -0.0 differs from
-    0.0, and NaNs with equal payloads are equal."""
-    return np.asarray(comp, dtype=complex).view(np.dtype((np.uint64, 2)))
+    """A complex component's (real, imaginary) pair of uint64 per node,
+    whatever its strides: equal bits are what tobytes() compares, so -0.0
+    differs from 0.0, and NaNs with equal payloads are equal."""
+    return comp.view(np.dtype((np.uint64, 2)))
 
 
 def _plane_sources(n_z: int, repeats, copies, negates) -> list:
@@ -387,13 +418,11 @@ def _toggled(items: str) -> str:
     return ("-" + items.replace(", ", ", -")).replace("--", "") if items else ""
 
 
-def _plane_texts(comp: np.ndarray, half: str,
-                 sources: list) -> tuple[list[str], list[int]]:
+def _plane_texts(comp: np.ndarray, half: str, sources: list) -> list[str]:
     """_json_items of the real or imaginary `half` of each z-plane of a
-    component, flattened phi-major, and the planes formatted. A plane with
-    a source takes the text object of its source plane, or that text
-    `_toggled` if it holds no NaN."""
-    texts, formatted = [], []
+    component, flattened phi-major. A plane with a source takes the text
+    object of its source plane, or that text `_toggled` if it holds no NaN."""
+    texts = []
     for iz, source in enumerate(sources):
         text = None
         if source is not None:
@@ -402,38 +431,7 @@ def _plane_texts(comp: np.ndarray, half: str,
                 text = None if "N" in text else _toggled(text)
         if text is None:
             text = _json_items(getattr(comp[:, :, iz].T.ravel(), half))
-            formatted.append(iz)
         texts.append(text)
-    return texts, formatted
-
-
-def _part_texts(grid: FieldGrid) -> list[list[str]]:
-    """The JSON items text of each z-plane of the grid's 12 component parts
-    (the real, then the imaginary half of each of `_FIELDS`), from which
-    both exports take their numbers.
-
-    The texts are kept on the grid with a snapshot of its components, and
-    reused while the components still match it in shape and bits, so an
-    in-place edit shows in the next export. The snapshot holds each part's
-    `_plane_sources` and a copy of the bits of each plane it formatted;
-    the sources give the bits of the others. Neither is a dataclass field,
-    so a `dataclasses.replace` copy starts without them."""
-    comps = [getattr(grid, name) for name in _FIELDS]
-    bits = list(map(_bits, comps))
-    sources = list(map(_component_sources, bits))
-    kept = vars(grid).get("_export_texts")
-    if (kept is not None and kept[0] == sources
-            and all(np.array_equal(bits[c][:, :, iz, h], plane)
-                    for c, h, iz, plane in kept[1])):
-        return kept[2]
-    texts, planes = [], []
-    for c, (comp, comp_sources) in enumerate(zip(comps, sources)):
-        for h, (half, part_sources) in enumerate(zip(("real", "imag"), comp_sources)):
-            part_texts, formatted = _plane_texts(comp, half, part_sources)
-            texts.append(part_texts)
-            planes += [(c, h, iz, bits[c][:, :, iz, h].copy()) for iz in formatted]
-    # FieldGrid is frozen, and the snapshot and texts are no field of it
-    object.__setattr__(grid, "_export_texts", (sources, planes, texts))
     return texts
 
 
@@ -456,18 +454,20 @@ def export_grid(grid: FieldGrid, format: str) -> str:
     CSV rows run z-major, then phi, then r, under the fixed header
     `CSV_COLUMNS`. The JSON document stores the same samples (flat arrays in
     the same order) and round-trips bitwise through `load_grid_json`. Both
-    take their numbers from one formatting pass per grid, kept on the grid
-    (`_part_texts`): the JSON items text of each z-plane of each component
-    part (the real or imaginary half of a component), where a part bitwise
-    equal to the same part of the plane before reuses its text. The CSV
-    splits a part's text into its column once per run of planes that share
-    it. A run of planes whose parts all repeat has its rows assembled once
-    and each plane's text is one join of its z value; every other plane is
-    assembled row by row.
+    take their numbers from the grid's `_export_texts`, made on its first
+    export and kept, since its arrays are read-only: the JSON items text of
+    each z-plane of each component part (the real or imaginary half of a
+    component), where a part bitwise equal to the same part of the plane
+    before, or to its mirror plane, reuses that plane's text, and a part
+    bitwise equal to its mirror with every sign bit flipped takes the
+    mirror's text with its signs toggled. The CSV splits a part's text into
+    its column once per run of planes that share it. A run of planes whose
+    parts all repeat has its rows assembled once and each plane's text is
+    one join of its z value; every other plane is assembled row by row.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    texts = _part_texts(grid)
+    texts = grid._export_texts
     if format == "csv":
         # the (r, phi) text of a row is the same in every z-plane: join it
         # once, phi-major like the rows
@@ -528,16 +528,16 @@ def load_grid_json(doc: str) -> FieldGrid:
     """Rebuild a FieldGrid from its JSON document, bitwise identical.
 
     A document in the layout `export_grid` writes is read by `_read_export`,
-    which parses a component's "re" or "im" array whose text is one
-    z-plane's text repeated (every plane of a p = 0 mode) once and fills
-    every plane from it; json.loads reads any other document. Either way
-    the grid is the one json.loads would give. A document that is not an
-    object, lacks a key, holds a non-numeric or boolean geometry or mode
-    number, an amplitude that is not a positive finite number, axes that
-    do not match its shape, or a component "re" or "im" array of another
-    length than n_r * n_phi * n_z or with an item that is not a number
-    (null, a string), raises ValueError. Booleans in such an array load as
-    1.0 and 0.0, as float() reads them.
+    which parses only the planes of each component "re" or "im" array that
+    repeat no other (one plane of every array of a p = 0 mode, one of each
+    mirror pair of a p >= 1 `sample_grid`); json.loads reads any other
+    document whole. Either way the grid is the one json.loads would give. A
+    document that is not an object, lacks a key, holds a non-numeric or
+    boolean geometry or mode number, an amplitude that is not a positive
+    finite number, axes that do not match its shape, or a component "re" or
+    "im" array of another length than n_r * n_phi * n_z or with an item that
+    is not a number (null, a string), raises ValueError. Booleans in such an
+    array load as 1.0 and 0.0, as float() reads them.
     """
     data = _read_export(doc) if isinstance(doc, str) else None
     if data is None:
@@ -550,99 +550,95 @@ def load_grid_json(doc: str) -> FieldGrid:
         raise ValueError(f"field grid document holds a malformed value: {exc}") from None
 
 
-_DECODER = json.JSONDecoder()
 # where the head of an `export_grid` document ends and its components begin
 _HEAD_END = ', "components": {'
 
 
 def _read_export(doc: str) -> dict | None:
-    """json.loads(doc) for a document that is the head, then the six
-    components in the layout and order `export_grid` writes them, then
-    JSON whitespace; None for any other text. A head that json reads as a
-    nonempty object once closed with "}" ends at depth 1 outside any
-    string, and `_HEAD_END` cannot sit inside a string (its '"' would close
-    it), so the components are the document's last member, and their text
-    is checked byte for byte."""
+    """json.loads(doc), with each component read into one complex array of
+    shape (n_z, n_r * n_phi), for a document that is the head, with a shape
+    of three positive integers, then the six components in the layout and
+    order `export_grid` writes them, each "re" and "im" array one that
+    `_read_planes` reads, then JSON whitespace; None for any other text. A
+    head that json reads as a nonempty object once closed with "}" ends at
+    depth 1 outside any string, and `_HEAD_END` cannot sit inside a string
+    (its '"' would close it), so the components are the document's last
+    member, and their text is checked byte for byte."""
     cut = doc.find(_HEAD_END)
     if cut < 0:
         return None
     try:
         data = json.loads(doc[:cut] + "}")
-        if not data:  # "{" alone: the "," of _HEAD_END would follow no member
-            return None
-        shape = data.get("shape")
-        idx, components = cut + len(_HEAD_END), {}
-        for name in _COMPONENT_NAMES:
-            comp = components[name] = {}
-            for key, lead in (("re", f'"{name}": {{"re": ['), ("im", ', "im": [')):
-                if not doc.startswith(lead, idx):
-                    return None
-                comp[key], idx = _read_part(doc, idx + len(lead), shape)
-            # "components" and the document close after the last one
-            tail = "}}}" if name == _COMPONENT_NAMES[-1] else "}, "
-            if not doc.startswith(tail, idx):
-                return None
-            idx += len(tail)
     except (ValueError, RecursionError):  # json's own reading decides
         return None
+    shape = data.get("shape") if data else None  # "{" alone: no member
+    # every item takes a character, so a larger grid is json's to refuse,
+    # before its components are allocated
+    if not (isinstance(shape, list) and len(shape) == 3
+            and all(type(count) is int and count > 0 for count in shape)
+            and math.prod(shape) <= len(doc)):
+        return None
+    n_r, n_phi, n_z = shape
+    idx, components = cut + len(_HEAD_END), {}
+    for name in _COMPONENT_NAMES:
+        planes = components[name] = np.empty((n_z, n_r * n_phi), dtype=complex)
+        for half, lead in (("real", f'"{name}": {{"re": ['), ("imag", ', "im": [')):
+            start = idx + len(lead)
+            close = doc.find("]", start)
+            if (not doc.startswith(lead, idx) or close < 0
+                    or not _read_planes(doc[start:close], getattr(planes, half))):
+                return None
+            idx = close + 1
+        # "components" and the document close after the last one
+        tail = "}}}" if name == _COMPONENT_NAMES[-1] else "}, "
+        if not doc.startswith(tail, idx):
+            return None
+        idx += len(tail)
     if doc[idx:].strip(" \t\n\r"):
         return None
     data["components"] = components  # the last of duplicate keys wins
     return data
 
 
-def _read_part(doc: str, start: int, shape) -> tuple[object, int]:
-    """The array whose items start at doc[start], after its "[", and the
-    index past its "]". When its text is one plane's text joined n_z times
-    by ", ", that plane is parsed once and returned broadcast to shape
-    (n_z, n_r * n_phi), without a copy. A plane with no '"' or '[' holds no
-    string or nested array, so every ", " in the array text falls between
-    elements, and the repeated plane is what json would read. Any other
-    array is `_read_planes`', or else json's."""
-    if (isinstance(shape, list) and len(shape) == 3
-            and all(type(count) is int and count > 0 for count in shape)):
-        n_r, n_phi, n_z = shape
-        close = doc.find("]", start)
-        width, rest = divmod(close - start - 2 * (n_z - 1), n_z)
-        plane = doc[start:start + width] if width > 0 and not rest else ""
-        # every later plane follows a ", " at its place in the array text
-        if (plane and '"' not in plane and "[" not in plane
-                and all(doc.startswith(f", {plane}", at)
-                        for at in range(start + width, close, width + 2))):
-            values = _plane_values(plane, n_r * n_phi)
-            if values is not None:
-                return np.broadcast_to(values, (n_z, values.size)), close + 1
-        else:
-            values = _read_planes(doc[start:close], n_r * n_phi, n_z)
-            if values is not None:
-                return values, close + 1
-    return _DECODER.raw_decode(doc, start - 1)
-
-
-def _read_planes(text: str, size: int, n_z: int) -> np.ndarray | None:
-    """What json reads from the array items text `text`, as n_z planes of
-    `size` floats; None unless `text` is ASCII with no '"', '[', '{', l or
-    r (no string, array, object, true, false or null), its only whitespace
-    is one space after each comma, and json reads no integer in it. Every
-    comma then falls between items, and every size-th one between planes.
-    A plane whose text equals the one before or its mirror, or is its
-    mirror `_toggled` where that holds no NaN, takes their values, as
-    `_plane_sources` orders it, or their negated values: each number is
-    the mirror's with a "-" put in front or taken off (json reads "0" and
-    "-0" alike, as the integer 0). The other planes are parsed in one
-    json.loads."""
-    if not text.isascii() or any(mark in text for mark in '"[{lr'):
-        return None
-    data = np.frombuffer(text.encode("ascii"), np.uint8)
-    commas = np.flatnonzero(data == ord(","))
-    # as many whitespace (or control) bytes as commas, one after each comma
-    if (commas.size != n_z * size - 1 or text.endswith(",")
-            or np.count_nonzero(data <= ord(" ")) != commas.size
-            or not (data[commas + 1] == ord(" ")).all()):
-        return None
-    ends = commas[size - 1::size].tolist()
-    planes = [text[begin:end] for begin, end
-              in zip([0, *(end + 2 for end in ends)], [*ends, len(text)])]
+def _read_planes(text: str, out: np.ndarray) -> bool:
+    """Fill `out`, n_z planes of `size` floats, with what json reads from
+    the array items text `text`, and return True; False, with `out` partly
+    filled, unless the text holds no '"', '[', '{', l or r (no string,
+    array, object, true, false or null) and json reads no integer in it,
+    so that every comma falls between two floats. A text that is one
+    plane's text joined n_z times by ", " (every array of a p = 0 mode, and
+    any of n_z = 1) is checked and parsed as that one plane. Any other text
+    must be ASCII, with one space after each comma as its only whitespace;
+    every size-th comma then falls between planes. A plane whose text
+    equals the one before or its mirror, or is its mirror `_toggled` where
+    that holds no NaN, takes their values, as `_plane_sources` orders it,
+    or their negated values: each number is the mirror's with a "-" put in
+    front or taken off (json reads "0" and "-0" alike, as the integer 0).
+    The other planes are parsed in one json.loads."""
+    n_z, size = out.shape
+    width, rest = divmod(len(text) - 2 * (n_z - 1), n_z)
+    plane = text[:width]
+    joined = ", " + plane
+    # every later plane follows a ", " at its place: tested before any scan
+    # of the whole text, which a p = 0 array would not need
+    repeated = width > 0 and not rest and all(
+        text.startswith(joined, at) for at in range(width, len(text), width + 2))
+    checked = plane if repeated else text
+    if not checked.isascii() or any(mark in checked for mark in '"[{lr'):
+        return False
+    if repeated:
+        planes = [plane] * n_z
+    else:
+        data = np.frombuffer(text.encode("ascii"), np.uint8)
+        commas = np.flatnonzero(data == ord(","))
+        # as many whitespace (or control) bytes as commas, one after each
+        if (commas.size != n_z * size - 1 or text.endswith(",")
+                or np.count_nonzero(data <= ord(" ")) != commas.size
+                or not (data[commas + 1] == ord(" ")).all()):
+            return False
+        ends = commas[size - 1::size].tolist()
+        planes = [text[begin:end] for begin, end
+                  in zip([0, *(end + 2 for end in ends)], [*ends, len(text)])]
     sources = _plane_sources(
         n_z, lambda k: planes[k] == planes[k - 1],
         lambda k: planes[k] == planes[-1 - k],
@@ -652,29 +648,18 @@ def _read_planes(text: str, size: int, n_z: int) -> np.ndarray | None:
         items = json.loads(f"[{', '.join(planes[k] for k in parsed)}]",
                            parse_int=_refuse_integer)
     except ValueError:
-        return None
-    values = np.empty((n_z, size))
-    values[parsed] = np.reshape(array.array("d", items), (len(parsed), size))
+        return False
+    if len(items) != len(parsed) * size:
+        return False
+    out[parsed] = np.reshape(array.array("d", items), (len(parsed), size))
     for k, source in enumerate(sources):
         if source is not None:
-            values[k] = -values[source[0]] if source[1] else values[source[0]]
-    return values
+            out[k] = -out[source[0]] if source[1] else out[source[0]]
+    return True
 
 
 def _refuse_integer(text: str):
     raise ValueError(f"integer item {text}")
-
-
-def _plane_values(text: str, size: int) -> np.ndarray | None:
-    """The floats of one plane's array items, or None unless `text` holds
-    exactly `size` items and numpy reads them all as floats."""
-    try:
-        values = np.array(json.loads(f"[{text}]"))
-    except ValueError:
-        return None
-    if values.shape != (size,) or values.dtype != float:
-        return None
-    return values
 
 
 def _grid_from_document(data: dict) -> FieldGrid:
@@ -695,24 +680,25 @@ def _grid_from_document(data: dict) -> FieldGrid:
     arrays = []
     for name in _COMPONENT_NAMES:
         comp = data["components"][name]
-        # filling the parts keeps -0.0; re + 1j * im would turn it into +0.0
-        planes = np.empty((n_z, n_r * n_phi), dtype=complex)
-        for half, key in (("real", "re"), ("imag", "im")):
-            part = comp[key]
-            if isinstance(part, list):
-                # array("d") takes the JSON numbers and booleans, and raises
-                # TypeError at a null or a string, which numpy's float
-                # conversion would read as nan or as the number in it
-                part = np.frombuffer(array.array("d", part))
-            part = np.asarray(part, dtype=float)
-            if part.shape == (planes.size,):
-                part = part.reshape(planes.shape)
-            # a repeated plane comes broadcast to planes.shape; numpy would
-            # also broadcast [0.5] or 7
-            if part.shape != planes.shape:
-                raise ValueError(
-                    f"field grid component {name!r} {key!r} holds "
-                    f"{part.size} values, but the shape is {data['shape']}")
-            setattr(planes, half, part)
-        arrays.append(planes.reshape(n_z, n_phi, n_r).transpose(2, 1, 0))
+        if not isinstance(comp, np.ndarray):  # as json.loads reads it
+            parts = []
+            for key in ("re", "im"):
+                part = comp[key]
+                if isinstance(part, list):
+                    # array("d") takes the JSON numbers and booleans, and
+                    # raises TypeError at a null or a string, which numpy's
+                    # float conversion would read as nan or as the number
+                    part = np.frombuffer(array.array("d", part))
+                # numpy would broadcast [0.5] or 7; the length is checked
+                # before a component of the document's shape is allocated
+                part = np.asarray(part, dtype=float)
+                if part.shape != (n_r * n_phi * n_z,):
+                    raise ValueError(
+                        f"field grid component {name!r} {key!r} holds "
+                        f"{part.size} values, but the shape is {data['shape']}")
+                parts.append(part)
+            # filling the parts keeps -0.0; re + 1j * im would turn it into +0.0
+            comp = np.empty(n_r * n_phi * n_z, dtype=complex)
+            comp.real, comp.imag = parts
+        arrays.append(comp.reshape(n_z, n_phi, n_r).transpose(2, 1, 0))
     return FieldGrid(geom, mode, r, phi, z, *arrays, amplitude=amplitude)

@@ -142,12 +142,17 @@ def max_allowed_power(p_in: float, sar_achieved: float, limit: SarLimit) -> floa
     return p_max
 
 
+# voxels per tissue grid, the cap on field grid nodes (64^3): a 64^3 SAR
+# average takes 0.1-0.2 s on a varied field and seconds on a uniform one
+_MAX_VOXELS = 2**18
+
+
 class TissueGrid:
     """Voxelized tissue block: conductivity, density, field magnitude.
 
-    Arrays share one (nx, ny, nz) shape; e_mag is the field magnitude
-    obtained at reference input power p_in_w. Linear voxel indices are
-    x-major, matching the file format.
+    Arrays share one (nx, ny, nz) shape of at most 2**18 voxels (64^3);
+    e_mag is the field magnitude obtained at reference input power p_in_w.
+    Linear voxel indices are x-major, matching the file format.
     """
 
     def __init__(self, voxel_m: float, sigma, rho, e_mag, p_in_w: float = 1.0):
@@ -158,6 +163,7 @@ class TissueGrid:
             raise ValueError(
                 f"sigma, rho, e_mag must share one 3-D shape, got "
                 f"{sigma.shape}, {rho.shape}, {e_mag.shape}")
+        _check_size(sigma.shape)
         if not (voxel_m > 0.0 and math.isfinite(voxel_m)):
             raise ValueError(f"voxel edge must be positive, got {voxel_m}")
         if voxel_m > 1e100:  # the voxel volume, its cube, would overflow
@@ -311,11 +317,19 @@ def averaged_sar(grid: TissueGrid, mass_target_kg: float) -> AveragedSar:
                        center=best_center)
 
 
+def _check_size(shape: tuple[int, int, int]) -> None:
+    if math.prod(shape) > _MAX_VOXELS:
+        raise ValueError(f"tissue grid of {' x '.join(map(str, shape))} voxels "
+                         f"exceeds the cap of {_MAX_VOXELS}")
+
+
 def _shape(entries) -> tuple[int, int, int]:
     shape = tuple(entries)
     if len(shape) != 3 or not all(is_index(x, 1) for x in shape):
         raise ValueError(f"shape must be three positive integers, got {entries}")
-    return tuple(int(x) for x in shape)
+    shape = tuple(int(x) for x in shape)
+    _check_size(shape)  # before a loader builds any array
+    return shape
 
 
 def tissue_grid_from_json(text: str) -> TissueGrid:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -445,6 +446,39 @@ def test_module_entry_point():
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["definitely-not-a-subcommand"]) == 2
     capsys.readouterr()
+
+
+def _readme_cli_examples():
+    # (command line, output) of each "$ sectordra ..." example in the
+    # README's "Quick start (CLI)" block, a trailing "\" joining the next line
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Quick start (CLI)")[1]
+    block = section.split("```text\n")[1].split("```")[0]
+    examples = []
+    for chunk in block.strip("\n").split("\n\n"):
+        lines = chunk.split("\n")
+        command = lines.pop(0)
+        while command.endswith("\\"):
+            command = command[:-1] + lines.pop(0)
+        examples.append((shlex.split(command), "".join(f"{line}\n" for line in lines)))
+    return examples
+
+
+_README_EXAMPLES = _readme_cli_examples()
+_README_NUMBER = re.compile(r"(-?\d+(?:\.\d+)?(?:e[-+]?\d+)?)")
+
+
+@pytest.mark.parametrize("argv, expected", _README_EXAMPLES,
+                         ids=[argv[2] for argv, _ in _README_EXAMPLES])
+def test_readme_cli_examples(capsys, argv, expected):
+    # numbers to 1e-12 relative, every other byte exactly
+    assert argv[:2] == ["$", "sectordra"]
+    code, out, err = run(capsys, *argv[2:])
+    assert code == 0 and err == ""
+    got, want = _README_NUMBER.split(out), _README_NUMBER.split(expected)
+    assert got[::2] == want[::2]
+    for number, written in zip(got[1::2], want[1::2]):
+        assert float(number) == pytest.approx(float(written), rel=1e-12, abs=0.0)
 
 
 # ------------------------------------------------------------------ fuzzing

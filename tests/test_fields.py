@@ -1,7 +1,10 @@
+import copy
 import dataclasses
 import itertools
 import json
 import math
+import pickle
+import types
 
 import numpy as np
 import pytest
@@ -348,8 +351,12 @@ def test_repeated_planes_are_formatted_once(table1, monkeypatch):
         return len(calls)
 
     assert export_both() == 12  # six components, real and imaginary parts
-    # an in-place edit, alike in every plane, is formatted once again
-    grid.H_z.real[1, 2, :] = 0.5
+
+    # an edit alike in every plane, in a grid of its own, is formatted once
+    def edit(comps):
+        comps["H_z"].real[1, 2, :] = 0.5
+
+    grid = _with_planes(grid, edit)
     assert export_both() == 12
     assert runs == [6, 6]
     # no plane of a p = 1 mode repeats: each has its rows assembled
@@ -571,19 +578,43 @@ def _change_nan_payload(grid, iz):
 @pytest.mark.parametrize("edit", (_set_value, _flip_zero_sign,
                                   _change_nan_payload))
 def test_in_place_edit_shows_in_the_next_export(table1, edit, iz, p):
-    # an edit in every plane leaves each plane repeating the one before
-    # where it did, so only the kept planes' bits can tell the grid changed
-    grid = sample_grid(table1, _mode(2.0, 1, p), 4, 3, 3)
-    grid.H_z.imag[1, 1, :] = math.nan
-    export_grid(grid, "csv")
-    texts = fields._part_texts(grid)
-    assert fields._part_texts(grid) is texts  # unchanged: kept
-    edit(grid, iz)
-    # a NaN payload changes neither export, but the grid's bits: the texts
-    # are made again, as after any other edit
-    assert fields._part_texts(grid) is not texts
-    for fmt, reference in (("json", _json_dumps), ("csv", _csv_row_loop)):
-        assert export_grid(grid, fmt).encode() == reference(grid).encode()
+    # a grid's arrays are read-only copies: the edit raises on a sampled,
+    # a loaded and a constructed grid, and made in the arrays a grid was
+    # built from, it changes neither the grid nor its kept texts. It shows
+    # in the export of a grid built from the edited arrays; an edit in
+    # every plane leaves each plane repeating the one before where it did
+    sampled = sample_grid(table1, _mode(2.0, 1, p), 4, 3, 3)
+    comps = {name: getattr(sampled, name).copy() for name in _NAMES}
+    comps["H_z"].imag[1, 1, :] = math.nan
+    grid = dataclasses.replace(sampled, **comps)
+    docs = [export_grid(grid, fmt) for fmt in ("csv", "json")]
+    texts = vars(grid)["_export_texts"]
+    for built in (sampled, grid, load_grid_json(docs[1])):
+        with pytest.raises(ValueError, match="read-only"):
+            edit(built, iz)
+    before = {name: getattr(grid, name).tobytes() for name in _NAMES}
+    edit(types.SimpleNamespace(**comps), iz)
+    assert {name: getattr(grid, name).tobytes() for name in _NAMES} == before
+    assert [export_grid(grid, fmt) for fmt in ("csv", "json")] == docs
+    assert vars(grid)["_export_texts"] is texts  # made once, then kept
+    # a NaN payload changes neither export, any other edit both
+    edited = dataclasses.replace(grid, **comps)
+    _assert_exports_match_references(edited)
+    for fmt, doc in zip(("csv", "json"), docs):
+        assert (export_grid(edited, fmt) != doc) == (edit is not _change_nan_payload)
+
+
+def test_copied_grids_stay_read_only(table1):
+    grid = sample_grid(table1, _mode(2.0, 1, 1), 4, 3, 3)
+    export_grid(grid, "json")
+    for twin in (copy.copy(grid), copy.deepcopy(grid),
+                 pickle.loads(pickle.dumps(grid))):
+        assert "_export_texts" not in vars(twin)
+        for name in ("r", "phi", "z", *_NAMES):
+            values = getattr(twin, name)
+            assert not values.flags.writeable
+            assert values.tobytes() == getattr(grid, name).tobytes()
+        _assert_exports_match_references(twin)
 
 
 def test_export_order_does_not_matter(table1):
@@ -662,6 +693,12 @@ def test_load_grid_json_rejects_malformed_documents(table1):
         bad["components"]["Hz"]["im"] = value
         with pytest.raises(ValueError, match="'Hz' 'im' holds"):
             load_grid_json(json.dumps(bad))
+    # a shape of 10^15 nodes with axes to match, whose components the
+    # document cannot hold: numpy was asked for 14 PiB (MemoryError)
+    huge = dict(doc, shape=[10 ** 5] * 3,
+                axes={key: [0.0] * 10 ** 5 for key in doc["axes"]})
+    with pytest.raises(ValueError, match="'Er' 're' holds"):
+        load_grid_json(json.dumps(huge))
     # a null, a numeric string or an integer that no float holds in a
     # component part, in one plane or in both (which the loader would
     # otherwise tile): numpy read the first two as nan and 1.5
@@ -715,28 +752,27 @@ def test_load_grid_json_rejects_bad_scalars(table1, section, key, value):
 
 
 def test_repeated_planes_are_parsed_once(table1, monkeypatch):
-    # a part whose planes are all bitwise equal, which is every part of a
-    # p = 0 mode, has its plane parsed once; any other part is read whole
-    # by json
-    calls = []
-    real = fields._plane_values
-    monkeypatch.setattr(fields, "_plane_values",
-                        lambda text, size: calls.append(1) or real(text, size))
-    for p in (0, 1):
-        grid = sample_grid(table1, _mode(2.0, 1, p), 5, 4, 6)
-        repeated = [all(part[:, :, iz].tobytes() == part[:, :, 0].tobytes()
-                        for iz in range(6))
-                    for comp in (grid.E_r, grid.E_phi, grid.E_z, grid.H_r,
-                                 grid.H_phi, grid.H_z)
-                    for part in (comp.real, comp.imag)]
-        calls.clear()
-        back = load_grid_json(export_grid(grid, "json"))
-        assert len(calls) == sum(repeated)
-        assert back.H_z.tobytes() == grid.H_z.tobytes()
-        if p == 0:
-            assert all(repeated)
-        else:
-            assert not repeated[-2]  # the real part of H_z varies along z
+    # every part of a p = 0 mode repeats one plane, which _read_planes
+    # parses once; a p = 1 part parses at most one plane of each mirror
+    # pair, its middle plane and its two caps
+    parsed = []
+    real = fields._plane_sources
+
+    def plane_sources(*args):
+        sources = real(*args)
+        parsed.append(sources.count(None))
+        return sources
+
+    monkeypatch.setattr(fields, "_plane_sources", plane_sources)
+    for p, most in ((0, 1), (1, 18)):
+        grid = sample_grid(table1, _mode(2.0, 1, p), 5, 4, 33)
+        doc = export_grid(grid, "json")
+        parsed.clear()
+        back = load_grid_json(doc)
+        assert len(parsed) == 12 and max(parsed) <= most
+        assert p == 1 or parsed == [1] * 12
+        for name in _NAMES:
+            assert getattr(back, name).tobytes() == getattr(grid, name).tobytes()
 
 
 # ------------------------------------------- load_grid_json against json.loads
@@ -933,8 +969,8 @@ def _trailing_comma(doc):
 # (name, edit, whether the exporter layout reader takes the document,
 # whether it loads)
 _LAYOUT_EDITS = [
-    ("compact-part", _compact_part, True, True),
-    ("blank-before-comma", _blank_before_comma, True, True),
+    ("compact-part", _compact_part, False, True),
+    ("blank-before-comma", _blank_before_comma, False, True),
     ("signed-nan", _signed_nan, False, False),
     ("signed-blank", _signed_blank, False, False),
     ("trailing-comma", _trailing_comma, False, False),
@@ -943,7 +979,7 @@ _LAYOUT_EDITS = [
     ("nested-components", lambda doc: doc.replace(
         '"phi_rad": ', '"components": {"Er": {"re": [], "im": []}}, '
         '"phi_rad": ', 1), False, True),
-    ("bracket-string", _bracket_string, True, False),
+    ("bracket-string", _bracket_string, False, False),
     ("sort-keys", lambda doc: json.dumps(json.loads(doc), sort_keys=True),
      False, True),
     # "{}" is a head json reads, but "{, " opens no JSON object

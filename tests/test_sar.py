@@ -307,6 +307,20 @@ def test_tissue_json_reads_booleans_as_numbers():
     assert tissue_grid_from_json(json.dumps(doc)).sigma.ravel().tolist() == [1.0, 0.0]
 
 
+def test_tissue_grids_above_the_cap_are_rejected():
+    # one plane more than 64^3 voxels; the file arrays are short, so only a
+    # cap checked before they are read raises this error
+    shape = [65, 64, 64]
+    with pytest.raises(ValueError, match="exceeds the cap of 262144"):
+        tissue_grid_from_json(json.dumps(dict(_tissue_document(2), shape=shape)))
+    sidecar = json.dumps({"shape": shape, "voxel_m": 0.002, "p_in_w": 1.0})
+    with pytest.raises(ValueError, match="exceeds the cap of 262144"):
+        tissue_grid_from_csv("index,sigma,rho,e_mag\n0,0.8,1000.0,10.0\n", sidecar)
+    ones = np.ones(shape)
+    with pytest.raises(ValueError, match="exceeds the cap of 262144"):
+        TissueGrid(0.002, ones, ones, ones)
+
+
 def test_file_error_paths():
     grid = _random_grid(seed=2, shape=(3, 4, 5))
     jdoc, cdoc, sidecar = _grid_documents(grid)
