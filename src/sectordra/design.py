@@ -72,6 +72,7 @@ class SweepSpec:
         if self.steps > _MAX_STEPS:
             raise ValueError(f"sweep takes at most {_MAX_STEPS} steps, "
                              f"got {self.steps}")
+        object.__setattr__(self, "steps", int(self.steps))
         if not self.modes:
             raise ValueError("sweep needs at least one mode")
 

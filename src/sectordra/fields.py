@@ -271,7 +271,8 @@ class FieldGrid:
         return texts
 
 
-def _validate_counts(mode: ModeSpec, n_r: int, n_phi: int, n_z: int) -> None:
+def _validate_counts(mode: ModeSpec, n_r: int, n_phi: int,
+                     n_z: int) -> tuple[int, int, int]:
     for name, count in (("n_r", n_r), ("n_phi", n_phi), ("n_z", n_z)):
         if not is_index(count, 1):
             raise ValueError(f"{name} must be a positive integer, got {count}")
@@ -282,6 +283,7 @@ def _validate_counts(mode: ModeSpec, n_r: int, n_phi: int, n_z: int) -> None:
                          f"the cap of {_MAX_NODES}")
     if n_z < 2 and not (n_z == 1 and mode.p == 0):
         raise ValueError("n_z = 1 is only allowed for p = 0 modes")
+    return int(n_r), int(n_phi), int(n_z)
 
 
 def _check_amplitude(amplitude) -> None:
@@ -302,7 +304,7 @@ def sample_grid(geom: SectorGeometry, mode: ModeSpec, n_r: int, n_phi: int,
     allocated, and an amplitude at which a component overflows raises
     ValueError.
     """
-    _validate_counts(mode, n_r, n_phi, n_z)
+    n_r, n_phi, n_z = _validate_counts(mode, n_r, n_phi, n_z)
     _check_amplitude(amplitude)
     r = np.linspace(0.0, geom.a, n_r)
     phi = np.linspace(0.0, geom.phi0, n_phi)
@@ -325,6 +327,7 @@ def boundary_residuals(geom: SectorGeometry, mode: ModeSpec,
     """
     if not is_index(resolution, 8):
         raise ValueError(f"resolution must be an integer >= 8, got {resolution}")
+    resolution = int(resolution)
     r = np.linspace(0.0, geom.a, resolution)
     phi = np.linspace(0.0, geom.phi0, resolution)
     z = np.linspace(0.0, geom.h, resolution)

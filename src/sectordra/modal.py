@@ -6,10 +6,15 @@ the azimuthal order set by the perfectly conducting faces:
 
     v = m pi / phi0,    m = 0, 1, 2, ...
 
-so a quarter sector (phi0 = pi/2) has even integer orders v = 2m. The sector
-faces also admit a lower family of hybrid modes whose order is an explicit
-integer (EH_110 has v = 1 on the quarter sector); those are represented with
-an explicit-v override rather than a derived m.
+so a quarter sector (phi0 = pi/2) has even integer orders v = 2m. The lower
+family of hybrid modes whose order is an explicit integer (EH_110 has v = 1
+on the quarter sector) is represented with an explicit-v override rather
+than a derived m. In this kernel those modes do not meet the conducting-face
+condition: E_r carries sin(v phi), which vanishes on phi = phi0 only when
+v phi0 is a multiple of pi. On a 12 mm, 2.54 mm quarter sector,
+`boundary_residuals` reports a tangential face field of 54.3 for EH v = 1,
+p = 0 (210.7 at p = 1) against 5e-15 for TE v = 2; ROADMAP item 1 keeps the
+question open.
 
 The resonance condition composes radial, azimuthal, and axial wavenumbers,
 
@@ -245,6 +250,7 @@ def enumerate_modes(geom: SectorGeometry, f_max: float, m_max: int,
                                ("p_max", p_max, 0)):
         if not is_index(bound, least):
             raise ValueError(f"{name} must be an integer >= {least}, got {bound}")
+    m_max, n_max, p_max = int(m_max), int(n_max), int(p_max)
 
     entries: list[tuple[ModeSpec, float]] = []
 

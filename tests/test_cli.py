@@ -171,6 +171,16 @@ def test_oracle_rejects_oversized_grid(capsys):
     assert err.strip() == "n_r must be at most 512, got 513"
 
 
+def test_oracle_refuses_modes_the_grid_cannot_hold(capsys):
+    # on the full disk the 50 smallest modes reach m = 21; 16 cosines hold
+    # m < 16
+    code, out, err = run(capsys, "oracle", "--radius-mm", "12", "--sector-deg",
+                         "360", "--count", "50", "--grid", "16")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "FD grid holds m < 16, n <= 16" in err
+
+
 def test_caps_exit_1(capsys):
     # each cap rejects before any work; none of these runs to its size
     for argv, message in (

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import sectordra
 from sectordra import modal
 from sectordra import (
     C_LIGHT,
@@ -230,6 +231,25 @@ def test_enumerate_caps_the_mode_count():
         enumerate_modes(half, 1e14, m_max=1, n_max=1, p_max=500)
     with pytest.raises(ValueError, match="more than 1000 modes"):
         enumerate_modes(half, 1e300, m_max=1, n_max=1, p_max=10 ** 9)
+
+
+_TE210 = ModeSpec.derived(ModeFamily.TE, 1, 1, 0, math.pi / 2.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, n: sectordra.fd_transverse_eigs(
+        sectordra.FDProblem(a=g.a, phi0=g.phi0, n_r=n(16), n_phi=n(16)), 3),
+    lambda g, n: sectordra.compare_modes(g, n(3), n(64)),
+    lambda g, n: sectordra.sample_grid(g, _TE210, n(9), n(9), n(9)),
+    lambda g, n: sectordra.boundary_residuals(g, _TE210, n(16)),
+    lambda g, n: sectordra.sweep(g, sectordra.SweepSpec(
+        "radius", 0.01, 0.012, n(3), (_TE210,))),
+    lambda g, n: enumerate_modes(g, 1e10, n(2), n(2), n(1)),
+], ids=["fd_transverse_eigs", "compare_modes", "sample_grid",
+        "boundary_residuals", "sweep", "enumerate_modes"])
+def test_whole_float_counts_act_as_ints(table1, call):
+    # is_index takes 16.0 for 16, so every count it admits must work as one
+    assert repr(call(table1, float)) == repr(call(table1, int))
 
 
 def test_mode_json_rejects_non_integer_indices(table1):

@@ -1,9 +1,11 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from sectordra import (
     FDProblem,
@@ -55,7 +57,7 @@ def test_lanczos_matches_dense_eigh(grid, phi0):
         np.testing.assert_allclose(got, dense[:count], rtol=1e-8, atol=0.0)
 
 
-def test_arpack_failure_is_convergence_error(monkeypatch):
+def test_lapack_failure_is_convergence_error(monkeypatch):
     # a LAPACK failure on a radial problem is a ConvergenceError, not a crash
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("stemr (eigh_tridiagonal) did not converge")
@@ -205,8 +207,8 @@ def test_compare_modes_half_disk():
 
 
 def test_compare_modes_thin_sector():
-    # at v = 20 pi, 23 FD eigenvalues lie below the first target; a search
-    # that stopped after 20 paired it with the last of those (0.114)
+    # at v = 20 pi, 23 FD eigenvalues, all of block 0, lie below the first
+    # target; its partner is the first eigenvalue of block 1
     geom = SectorGeometry(a=1.0, h=1.0, phi0=0.05, eps_r=1.0)
     rows = compare_modes(geom, count=1, grid=64)
     assert (rows[0].m, rows[0].n) == (1, 1)
@@ -217,10 +219,12 @@ def test_compare_modes_thin_sector():
                                   math.pi, 2.0 * math.pi])
 def test_compare_modes_frontier_is_the_sorted_grid(phi0):
     # the same (k_r, m, n) rows as the sorted candidate grid, ties and order
-    # included; the largest count first, so the rest find its zeros cached
+    # included; the largest count first, so the rest find its zeros cached.
+    # At 24^2 the grid holds every target (up to m = 21 at 2 pi, n = 18 at
+    # 0.3 rad)
     geom = SectorGeometry(a=0.012, h=0.00254, phi0=phi0, eps_r=12.85)
     for count in (50, 20, 7, 3, 1):
-        rows = compare_modes(geom, count=count, grid=16)
+        rows = compare_modes(geom, count=count, grid=24)
         assert ([(row.analytic_k_r, row.m, row.n) for row in rows]
                 == compare_targets_grid(geom, count))
 
@@ -231,18 +235,65 @@ def test_compare_modes_zero_searches(table1):
     assert modal._zero.cache_info().misses <= 2 * 50 + 1
 
 
-def test_compare_modes_refuses_a_window_before_its_eigenvectors():
-    # at 0.01 rad, 246 or more FD eigenvalues lie below 1.02 times the 50th
-    # target; at 512^2 their eigenvectors would take over 500 MB
+def test_compare_modes_answers_a_thin_sector_at_its_caps():
+    # at 0.01 rad all 50 targets are block 1's: 50 eigenvectors of 512^2
+    # (105 MB), where a window of every FD eigenvalue below the 50th target
+    # would hold 246 or more
     geom = SectorGeometry(a=0.012, h=0.00254, phi0=0.01, eps_r=12.85)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="more than 56623104 values"):
-            compare_modes(geom, count=50, grid=512)
+        rows = compare_modes(geom, count=50, grid=512)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 50e6
+    assert len(rows) == 50
+    assert peak < 150e6
+
+
+@pytest.mark.parametrize("phi0, grid", [(math.pi / 2.0, 16), (0.3, 24)])
+def test_compare_modes_pairs_each_mode_with_its_dense_block(phi0, grid):
+    # dense eigenvectors of B sorted by their azimuthal cosine: row (m, n)
+    # holds the n-th eigenvalue of class m. On the quarter sector at 16^2
+    # the nearest FD value is often another mode's
+    geom = SectorGeometry(a=0.012, h=0.00254, phi0=phi0, eps_r=12.85)
+    lam, x = scipy.linalg.eigh(
+        fd_operator_loop(geom.a, phi0, grid, grid).toarray())
+    q = np.cos(np.pi * np.outer(np.arange(grid), np.arange(grid) + 0.5) / grid)
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    weight = np.square(x.T.reshape(-1, grid, grid) @ q.T).sum(axis=1)
+    assert np.all(weight.max(axis=1) > 1.0 - 1e-8)
+    cls = weight.argmax(axis=1)
+    for row in compare_modes(geom, count=50, grid=grid):
+        want = lam[cls == row.m][row.n - 1]
+        assert row.fd_k_t ** 2 == pytest.approx(want, rel=1e-8)
+
+
+def test_compare_modes_refuses_modes_the_grid_cannot_hold():
+    # the 20 smallest modes at 0.05 rad reach n = 23 in block 1; 16 rings
+    # hold 16
+    geom = SectorGeometry(a=0.012, h=0.00254, phi0=0.05, eps_r=12.85)
+    with pytest.raises(ValueError, match="16 x 16 FD grid holds m < 16, n <= 16"):
+        compare_modes(geom, count=20, grid=16)
+    assert len(compare_modes(geom, count=20, grid=24)) == 20
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(0.01, 2.0 * math.pi), st.integers(1, 50), st.integers(16, 64))
+def test_fuzzed_compare_modes_answers_or_refuses(phi0, count, grid):
+    # each call returns its rows or refuses within 2 s; the worst case,
+    # 0.01 rad, count 50 at 64^2 with cold zeros, takes 0.14 s on 2 vCPUs
+    geom = SectorGeometry(a=0.012, h=0.00254, phi0=phi0, eps_r=12.85)
+    start = time.perf_counter()
+    try:
+        rows = compare_modes(geom, count=count, grid=grid)
+    except ValueError:
+        rows = None
+    assert time.perf_counter() - start < 2.0
+    if rows is not None:
+        assert len(rows) == count
+        for row in rows:
+            assert math.isfinite(row.fd_k_t) and row.fd_k_t > 0.0
+            assert math.isfinite(row.rel_error)
 
 
 def test_compare_modes_validation(table1):
@@ -251,7 +302,7 @@ def test_compare_modes_validation(table1):
     # the cap rejects before any zero search or solve
     with pytest.raises(ValueError, match="at most 50"):
         compare_modes(table1, count=51, grid=64)
-    # k_r of (1, 1) fits the float range, the square of 1.02 k_r does not
-    with pytest.raises(ValueError, match="bound .* out of floating-point range"):
+    # k_r of (1, 1) fits the float range, the FD operator does not
+    with pytest.raises(ValueError, match="FD operator out of floating-point range"):
         compare_modes(SectorGeometry(a=2.38e-154, h=1.0, phi0=2.0 * math.pi,
                                      eps_r=1.0), count=1, grid=16)
