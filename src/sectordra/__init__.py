@@ -1,103 +1,13 @@
 """Modal analysis and power budgeting for sectoral cylindrical DRAs."""
 
-from .specfun import bessel_j, bessel_j_prime, bessel_zero, ConvergenceError
-from .modal import (
-    C_LIGHT,
-    MU_0,
-    SectorGeometry,
-    ModeFamily,
-    ModeSpec,
-    Wavenumbers,
-    azimuthal_order,
-    wavenumbers,
-    resonant_frequency,
-    enumerate_modes,
-    geometry_from_json,
-    mode_from_json,
-)
-from .fields import (
-    CylPoint,
-    FieldSample,
-    FieldGrid,
-    BoundaryResiduals,
-    field_at,
-    sample_grid,
-    boundary_residuals,
-    export_grid,
-    load_grid_json,
-)
-from .oracle import FDProblem, fd_transverse_eigs, compare_modes
-from .sar import (
-    TissueGrid,
-    SarStandard,
-    AveragingMass,
-    LimitKind,
-    SarLimit,
-    AveragedSar,
-    point_sar,
-    averaged_sar,
-    limit_lookup,
-    max_allowed_power,
-    tissue_grid_from_json,
-    tissue_grid_from_csv,
-)
-from .design import (
-    SweepParameter,
-    SweepSpec,
-    SweepResult,
-    sweep,
-    sweep_csv,
-    solve_radius,
-)
+from .specfun import *
+from .modal import *
+from .fields import *
+from .oracle import *
+from .sar import *
+from .design import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "C_LIGHT",
-    "MU_0",
-    "bessel_j",
-    "bessel_j_prime",
-    "bessel_zero",
-    "ConvergenceError",
-    "SectorGeometry",
-    "ModeFamily",
-    "ModeSpec",
-    "Wavenumbers",
-    "azimuthal_order",
-    "wavenumbers",
-    "resonant_frequency",
-    "enumerate_modes",
-    "geometry_from_json",
-    "mode_from_json",
-    "CylPoint",
-    "FieldSample",
-    "FieldGrid",
-    "BoundaryResiduals",
-    "field_at",
-    "sample_grid",
-    "boundary_residuals",
-    "export_grid",
-    "load_grid_json",
-    "FDProblem",
-    "fd_transverse_eigs",
-    "compare_modes",
-    "TissueGrid",
-    "SarStandard",
-    "AveragingMass",
-    "LimitKind",
-    "SarLimit",
-    "AveragedSar",
-    "point_sar",
-    "averaged_sar",
-    "limit_lookup",
-    "max_allowed_power",
-    "tissue_grid_from_json",
-    "tissue_grid_from_csv",
-    "SweepParameter",
-    "SweepSpec",
-    "SweepResult",
-    "sweep",
-    "sweep_csv",
-    "solve_radius",
-    "__version__",
-]
+__all__ = (specfun.__all__ + modal.__all__ + fields.__all__ + oracle.__all__
+           + sar.__all__ + design.__all__ + ["__version__"])

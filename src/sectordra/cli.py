@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .design import SweepParameter, SweepSpec, solve_radius, sweep, sweep_csv
+from .design import SweepParameter, SweepSpec, solve_radius, sweep
 from .errors import ConvergenceError, json_object
 from .fields import export_grid, sample_grid
 from .modal import (
@@ -412,13 +412,12 @@ def _cmd_sweep(args) -> None:
     rows = sweep(geom, spec)
     if args.format == "svg":
         _emit(_svg_sweep(rows), args.output)
-    elif args.format == "json":
-        docs = [{"param_name": r.parameter.value, "param_value": r.value,
-                 "family": r.mode.family.value, "v": r.mode.v, "n": r.mode.n,
-                 "p": r.mode.p, "f_hz": r.f_hz} for r in rows]
-        _emit(_rows_json(docs), args.output)
-    else:
-        _emit(sweep_csv(rows), args.output)
+        return
+    docs = [{"param_name": r.parameter.value, "param_value": r.value,
+             "family": r.mode.family.value, "v": r.mode.v, "n": r.mode.n,
+             "p": r.mode.p, "f_hz": r.f_hz} for r in rows]
+    _emit(_render(["param_name", "param_value", "family", "v", "n", "p", "f_hz"],
+                  docs, args.format), args.output)
 
 
 def _cmd_design(args) -> None:

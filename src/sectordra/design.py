@@ -17,8 +17,6 @@ decreasing in a and
 from __future__ import annotations
 
 import enum
-import io
-import csv
 import math
 from dataclasses import dataclass
 
@@ -30,7 +28,6 @@ __all__ = [
     "SweepSpec",
     "SweepResult",
     "sweep",
-    "sweep_csv",
     "solve_radius",
 ]
 
@@ -129,18 +126,6 @@ def sweep(base: SectorGeometry, spec: SweepSpec) -> list[SweepResult]:
                                     mode=local,
                                     f_hz=resonant_frequency(geom, local)))
     return rows
-
-
-def sweep_csv(rows: list[SweepResult]) -> str:
-    """Render sweep rows as CSV with a fixed header."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["param_name", "param_value", "family", "v", "n", "p", "f_hz"])
-    for row in rows:
-        writer.writerow([row.parameter.value, repr(row.value),
-                         row.mode.family.value, repr(row.mode.v),
-                         row.mode.n, row.mode.p, repr(row.f_hz)])
-    return buf.getvalue()
 
 
 def solve_radius(base: SectorGeometry, mode: ModeSpec, target_f_hz: float,

@@ -128,12 +128,12 @@ def _components(geom: SectorGeometry, mode: ModeSpec, r: np.ndarray,
 
     The scale is A E = 1, or with an amplitude, such that max |H_z| over
     the nodes equals it. Nodes on the axis (r = 0) take the limits of the
-    module docstring; for 0 < v < 1 they raise ValueError. A component that
-    overflows is returned as inf or NaN, for the caller to check. When z
-    is `mirrored`, node n_z - 1 - k standing for h - z[k], the axial
-    factors of a p >= 1 mode at each interior node past the middle are
-    those of node k times (-1)^p (cos) and -(-1)^p (sin), so that z-plane
-    n_z - 1 - k of each component is bitwise plane k or its negation.
+    module docstring; for 0 < v < 1 they raise ValueError, and so does a
+    component that overflows to inf or NaN. When z is `mirrored`, node
+    n_z - 1 - k standing for h - z[k], the axial factors of a p >= 1 mode
+    at each interior node past the middle are those of node k times (-1)^p
+    (cos) and -(-1)^p (sin), so that z-plane n_z - 1 - k of each component
+    is bitwise plane k or its negation.
     """
     wn = wavenumbers(geom, mode)
     omega = 2.0 * math.pi * resonant_frequency(geom, mode)
@@ -185,7 +185,11 @@ def _components(geom: SectorGeometry, mode: ModeSpec, r: np.ndarray,
         e_phi.imag = omega * MU_0 / kr2 * scale * outer(kjp, cos_v)
         h_r = -wn.k_z / kr2 * scale * outer(kjp, cos_v, sin_z)
         h_phi = wn.k_z / kr2 * scale * outer(vj_r, sin_v, sin_z)
-        return (e_r, e_phi, np.zeros(h_z.shape), h_r, h_phi, scale * h_z)
+        comps = (e_r, e_phi, np.zeros(h_z.shape), h_r, h_phi, scale * h_z)
+    if not all(np.isfinite(comp).all() for comp in comps):
+        at = "" if amplitude is None else f" at amplitude {amplitude}"
+        raise ValueError(f"field components overflow{at}")
+    return comps
 
 
 def field_at(geom: SectorGeometry, mode: ModeSpec, point: CylPoint) -> FieldSample:
@@ -199,6 +203,10 @@ def field_at(geom: SectorGeometry, mode: ModeSpec, point: CylPoint) -> FieldSamp
 
     Returns:
         FieldSample on the A E = 1 scale (no grid normalization).
+
+    Raises:
+        ValueError: for a point outside the sector, and when a component
+            overflows.
     """
     for name, top in (("r", geom.a), ("phi", geom.phi0), ("z", geom.h)):
         if not (0.0 <= getattr(point, name) <= top):
@@ -310,8 +318,6 @@ def sample_grid(geom: SectorGeometry, mode: ModeSpec, n_r: int, n_phi: int,
     phi = np.linspace(0.0, geom.phi0, n_phi)
     z = np.linspace(0.0, geom.h, n_z) if n_z > 1 else np.zeros(1)
     comps = _components(geom, mode, r, phi, z, amplitude, mirrored=True)
-    if not all(np.isfinite(comp).all() for comp in comps):
-        raise ValueError(f"field components overflow at amplitude {amplitude}")
     return FieldGrid(geom, mode, r, phi, z, *comps, amplitude=amplitude)
 
 
@@ -323,7 +329,8 @@ def boundary_residuals(geom: SectorGeometry, mode: ModeSpec,
     supremum norms of the tangential electric field on the flat faces, H_phi
     on the curved wall, and the axial H_z derivative on the caps. Derived-v
     modes satisfy all three analytically; an explicit odd order on a quarter
-    sector leaves a face residual, which is reported as is.
+    sector leaves a face residual, which is reported as is. A component
+    that overflows on a boundary surface raises ValueError.
     """
     if not is_index(resolution, 8):
         raise ValueError(f"resolution must be an integer >= 8, got {resolution}")

@@ -24,7 +24,6 @@ from sectordra import (
     export_grid,
     sample_grid,
     sweep,
-    sweep_csv,
 )
 from sectordra.cli import main
 
@@ -303,7 +302,27 @@ def test_sweep_is_thin_adapter(capsys, table1):
                          float(stop) / 1000.0, 5,
                          (ModeSpec.explicit(ModeFamily.TE, 2.0, 1, 0),
                           ModeSpec.explicit(ModeFamily.EH, 1.0, 1, 0)))
-        assert out == sweep_csv(sweep(table1, spec))
+        assert out == "param_name,param_value,family,v,n,p,f_hz\n" + "".join(
+            f"{r.parameter.value},{r.value!r},{r.mode.family.value},{r.mode.v!r},"
+            f"{r.mode.n},{r.mode.p},{r.f_hz!r}\n" for r in sweep(table1, spec))
+
+
+def test_sweep_csv_layout(capsys, table1):
+    code, out, _ = run(capsys, "sweep", *G, "--param", "radius", "--start", "8",
+                       "--stop", "16", "--steps", "2", "--mode", TE210)
+    assert code == 0
+    rows = sweep(table1, SweepSpec(SweepParameter.RADIUS, 0.008, 0.016, 2,
+                                   (ModeSpec.explicit(ModeFamily.TE, 2.0, 1, 0),)))
+    lines = out.splitlines()
+    assert lines[0] == "param_name,param_value,family,v,n,p,f_hz"
+    assert len(lines) == 3
+    cells = lines[1].split(",")
+    assert cells[0] == "radius"
+    assert float(cells[1]) == 0.008
+    assert cells[2] == "TE"
+    assert float(cells[3]) == 2.0
+    assert int(cells[4]) == 1 and int(cells[5]) == 0
+    assert float(cells[6]) == rows[0].f_hz
 
 
 def test_sweep_json_matches_csv(capsys):

@@ -12,7 +12,6 @@ from sectordra import (
     resonant_frequency,
     solve_radius,
     sweep,
-    sweep_csv,
 )
 
 TE210 = ModeSpec.explicit(ModeFamily.TE, 2.0, 1, 0)
@@ -102,22 +101,6 @@ def test_sweep_deterministic(table1):
     first = [r.f_hz for r in sweep(table1, spec)]
     second = [r.f_hz for r in sweep(table1, spec)]
     assert first == second
-
-
-def test_sweep_csv_layout(table1):
-    spec = SweepSpec(SweepParameter.RADIUS, 0.008, 0.016, 2, (TE210,))
-    rows = sweep(table1, spec)
-    doc = sweep_csv(rows)
-    lines = doc.splitlines()
-    assert lines[0] == "param_name,param_value,family,v,n,p,f_hz"
-    assert len(lines) == 3
-    cells = lines[1].split(",")
-    assert cells[0] == "radius"
-    assert float(cells[1]) == 0.008
-    assert cells[2] == "TE"
-    assert float(cells[3]) == 2.0
-    assert int(cells[4]) == 1 and int(cells[5]) == 0
-    assert float(cells[6]) == rows[0].f_hz
 
 
 def test_solve_radius_anchor(table1):

@@ -55,8 +55,26 @@ def test_derivative_against_central_difference():
             assert bessel_j_prime(v, x) == pytest.approx(num, rel=1e-7, abs=1e-10)
 
 
+def test_derivative_matches_mpmath():
+    # orders 0-30 with fractional ones below 1, arguments 1e-3 to 60; the
+    # error is scaled by the largest of J_{v-1}, J_v, J_{v+1}, from which
+    # the derivative is formed, so it stays meaningful near zeros of J_v'
+    orders = np.concatenate([np.arange(0.0, 31.0),
+                             [0.1, 0.25, 0.5, 0.75, 0.9, 1.5, 2.5, 7.3, 12.7, 29.5]])
+    xs = np.geomspace(1e-3, 60.0, 40)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for v in orders:
+            for x, got in zip(xs, bessel_j_prime(v, xs)):
+                mv, mx = mpmath.mpf(float(v)), mpmath.mpf(float(x))
+                ref = mpmath.besselj(mv, mx, derivative=1)
+                scale = max(abs(mpmath.besselj(mv + k, mx)) for k in (-1, 0, 1))
+                worst = max(worst, float(abs(got - ref) / scale))
+    assert worst <= 1e-13
+
+
 def test_derivative_identity():
-    # J2' = (J1 - J3) / 2, an independent rewrite of the recurrence used
+    # J2' = (J1 - J3) / 2 (DLMF 10.6.1), from bessel_j's values
     for x in (0.9, 3.7, 8.8):
         lhs = bessel_j_prime(2.0, x)
         rhs = 0.5 * (bessel_j(1.0, x) - bessel_j(3.0, x))
