@@ -25,7 +25,20 @@ n_z - 1 - k stands for h - z_k, and cos(k_z (h - z)) = (-1)^p cos(k_z z),
 sin(k_z (h - z)) = -(-1)^p sin(k_z z): for p >= 1 each interior z-plane
 past the middle takes its axial factor from its mirror plane k, so that it
 is bitwise plane k or its negation (each within an ulp or two of the direct
-value), and the export formats and the loader parses one plane of a pair.
+value). Likewise node n_phi - 1 - j stands for phi0 - phi_j, and for a
+derived order v = m pi / phi0 with m >= 1, cos(v (phi0 - phi)) =
+(-1)^m cos(v phi) and sin(v (phi0 - phi)) = -(-1)^m sin(v phi): each
+interior phi-row past the middle is bitwise row j or its negation. Its
+azimuthal factors differ from the direct ones by their argument rounding
+(v phi is up to m pi), so each sampled part is within 8 m 2^-52 of its
+peak of the direct value (measured: at most 3.8 m 2^-52 for m = 1 to 8),
+unless every node sits on a zero of sin(v phi) and the part is roundoff
+either way. Explicit orders are evaluated directly, since their faces need
+not be alike (EH v = 1 on a quarter sector has cos(v (phi0 - phi)) =
+sin(v phi)), and so is m = 0, where sin(v phi) is +0.0 and a mirror would
+flip the sign of its zeros. The export formats and the loader parses one
+plane of a pair, and one row of a pair within each plane it formats or
+parses.
 """
 
 from __future__ import annotations
@@ -45,6 +58,7 @@ from .modal import (
     ModeFamily,
     ModeSpec,
     SectorGeometry,
+    azimuthal_order,
     resonant_frequency,
     wavenumbers,
 )
@@ -72,13 +86,12 @@ CSV_COLUMNS = (
 # the FieldSample and FieldGrid attributes, and their JSON keys
 _FIELDS = ("E_r", "E_phi", "E_z", "H_r", "H_phi", "H_z")
 _COMPONENT_NAMES = ("Er", "Ephi", "Ez", "Hr", "Hphi", "Hz")
-# nodes per grid (n_r * n_phi * n_z). At 64^3 on a 2-vCPU VM, with 94 MB of
-# process peak after sampling (88 MB before the grid copied the kernel's
-# arrays), a grid's first export: CSV 0.1 s and 162 MB peak at p = 0,
-# 0.8-1.0 s and 213 MB at p = 1; JSON 0.05-0.09 s and 133 MB at p = 0,
-# 0.55-1.1 s and 169 MB at p = 1. The second export reuses the grid's
-# texts: JSON after CSV takes 0.03-0.06 s. A load takes 0.06-0.1 s at
-# p = 0 and 0.5-0.6 s at p = 1
+# nodes per grid (n_r * n_phi * n_z). At 64^3 on a 2-vCPU VM, with 95 MB of
+# process peak after sampling, a derived TE m = 1 grid's first export: CSV
+# 0.06 s and 162 MB peak at p = 0, 0.48-0.52 s and 213 MB at p = 1; JSON
+# 0.04-0.045 s and 133 MB at p = 0, 0.33-0.35 s and 168 MB at p = 1. The
+# second export reuses the grid's texts: JSON after CSV takes 0.03-0.04 s.
+# A load takes 0.04 s at p = 0 and 0.26-0.27 s at p = 1
 _MAX_NODES = 2**18
 
 
@@ -129,11 +142,15 @@ def _components(geom: SectorGeometry, mode: ModeSpec, r: np.ndarray,
     The scale is A E = 1, or with an amplitude, such that max |H_z| over
     the nodes equals it. Nodes on the axis (r = 0) take the limits of the
     module docstring; for 0 < v < 1 they raise ValueError, and so does a
-    component that overflows to inf or NaN. When z is `mirrored`, node
-    n_z - 1 - k standing for h - z[k], the axial factors of a p >= 1 mode
-    at each interior node past the middle are those of node k times (-1)^p
-    (cos) and -(-1)^p (sin), so that z-plane n_z - 1 - k of each component
-    is bitwise plane k or its negation.
+    component that overflows to inf or NaN. When phi and z are `mirrored`,
+    node n_z - 1 - k standing for h - z[k], the axial factors of a p >= 1
+    mode at each interior node past the middle are those of node k times
+    (-1)^p (cos) and -(-1)^p (sin), so that z-plane n_z - 1 - k of each
+    component is bitwise plane k or its negation; and node n_phi - 1 - j
+    standing for phi0 - phi[j], so are the azimuthal factors of a mode with
+    m >= 1 whose v is m pi / phi0 on this geometry, with (-1)^m, so that
+    phi-row n_phi - 1 - j is bitwise row j or its negation. Other modes'
+    azimuthal factors, explicit orders and m = 0 among them, are direct.
     """
     wn = wavenumbers(geom, mode)
     omega = 2.0 * math.pi * resonant_frequency(geom, mode)
@@ -154,14 +171,21 @@ def _components(geom: SectorGeometry, mode: ModeSpec, r: np.ndarray,
     sin_v = np.sin(v * phi)
     cos_z = np.cos(wn.k_z * z)
     sin_z = np.sin(wn.k_z * z)
-    if mirrored and mode.p:
-        # cos(k_z (h - z)) = (-1)^p cos(k_z z), sin(k_z (h - z)) =
-        # -(-1)^p sin(k_z z); the caps keep their own values (sin(k_z h) is
-        # roundoff, not -0.0)
-        k = np.arange(1, len(z) // 2)
-        sign = -1.0 if mode.p % 2 else 1.0
-        cos_z[-1 - k] = sign * cos_z[k]
-        sin_z[-1 - k] = -sign * sin_z[k]
+    if mirrored:
+        # cos(v (phi0 - phi)) = (-1)^m cos(v phi) and sin(v (phi0 - phi)) =
+        # -(-1)^m sin(v phi) where v = m pi / phi0, and likewise along z
+        # with k_z = p pi / h; the end nodes keep their own values (sin(k_z
+        # h) is roundoff, not -0.0), and an index of 0 would flip the sign
+        # of the zeros of sin. The modal layer accepts an m whose v is off
+        # by up to 1e-9, and that v takes no mirror
+        derived = mode.m and v == azimuthal_order(mode.m, geom.phi0)
+        for index, cos_f, sin_f in ((mode.m if derived else 0, cos_v, sin_v),
+                                    (mode.p, cos_z, sin_z)):
+            if index:
+                k = np.arange(1, len(cos_f) // 2)
+                sign = -1.0 if index % 2 else 1.0
+                cos_f[-1 - k] = sign * cos_f[k]
+                sin_f[-1 - k] = -sign * sin_f[k]
 
     def outer(radial: np.ndarray, azim: np.ndarray,
               axial: np.ndarray = cos_z) -> np.ndarray:
@@ -273,9 +297,9 @@ class FieldGrid:
         texts = []
         for name in _FIELDS:
             comp = getattr(self, name)
-            for half, sources in zip(("real", "imag"),
-                                     _component_sources(_bits(comp))):
-                texts.append(_plane_texts(comp, half, sources))
+            for half, (sources, rows) in zip(("real", "imag"),
+                                             _component_sources(_bits(comp))):
+                texts.append(_plane_texts(comp, half, sources, rows))
         return texts
 
 
@@ -352,9 +376,10 @@ def boundary_residuals(geom: SectorGeometry, mode: ModeSpec,
                              cap_dhz_dz=cap * float(np.abs(h_z0).max()))
 
 
-def _json_items(part: np.ndarray) -> str:
-    """The items of json.dumps(part.tolist()), without the brackets."""
-    return json.dumps(part.tolist())[1:-1]
+def _json_rows(rows: np.ndarray) -> list[str]:
+    """The items text of json.dumps(row.tolist()), without the brackets,
+    of each row of a 2-D array with at least one row, in one json.dumps."""
+    return json.dumps(rows.tolist())[2:-2].split("], [")
 
 
 def _csv_column(items: str) -> list[str]:
@@ -375,20 +400,21 @@ def _bits(comp: np.ndarray) -> np.ndarray:
     return comp.view(np.dtype((np.uint64, 2)))
 
 
-def _plane_sources(n_z: int, repeats, copies, negates) -> list:
-    """Where each of n_z z-planes takes its text (or, on load, its values)
-    from, by one rule for the exporter and the loader: (k - 1, False) for
-    a plane k that `repeats(k)` the plane before; else, for a plane in the
-    upper half, (n_z - 1 - k, False) where it `copies(k)` its mirror plane
-    n_z - 1 - k, and (n_z - 1 - k, True) where it `negates(k)` the mirror;
-    else None, for a plane formatted or parsed anew. A predicate is asked
-    only where the ones before it failed. Every plane of a p = 0 mode
-    repeats, and every interior upper plane of a p >= 1 `sample_grid`
-    copies or negates its mirror."""
+def _plane_sources(n: int, repeats, copies, negates) -> list:
+    """Where each of n z-planes (or phi-rows) takes its text (or, on load,
+    its values) from, by one rule for the exporter and the loader: (k - 1,
+    False) for a plane k that `repeats(k)` the plane before; else, for a
+    plane in the upper half, (n - 1 - k, False) where it `copies(k)` its
+    mirror plane n - 1 - k, and (n - 1 - k, True) where it `negates(k)` the
+    mirror; else None, for a plane formatted or parsed anew. A predicate is
+    asked only where the ones before it failed; `repeats` is false for
+    rows, which only mirror. Every plane of a p = 0 mode repeats, every interior
+    upper plane of a p >= 1 `sample_grid` copies or negates its mirror, and
+    so does every interior upper row of a derived m >= 1 one."""
     sources = []
-    for k in range(n_z):
-        mirror = n_z - 1 - k
-        if k and repeats(k):
+    for k in range(n):
+        mirror = n - 1 - k
+        if k and repeats and repeats(k):
             sources.append((k - 1, False))
         elif mirror < k and copies(k):
             sources.append((mirror, False))
@@ -400,25 +426,45 @@ def _plane_sources(n_z: int, repeats, copies, negates) -> list:
 
 
 _SIGN_BIT = np.uint64(1 << 63)
+_INF_BITS = np.uint64(0x7FF0_0000_0000_0000)  # above it, without the sign: NaN
 
 
-def _component_sources(bits: np.ndarray) -> list[list]:
-    """_plane_sources of the real and of the imaginary half of a component's
-    `_bits`, each plane compared bitwise with the plane before, with its
-    mirror, and with the mirror with every sign bit flipped, in whole-array
-    comparisons. The mirrors are not compared when every plane repeats."""
-    n_z, half = bits.shape[2], bits.shape[2] // 2
+def _mirror_flags(bits: np.ndarray, axis: int) -> np.ndarray:
+    """Whether each phi-row (axis 1) or z-plane (axis 2) of the real and of
+    the imaginary half of a component's `_bits` is, past the middle, bitwise
+    its mirror (copies), or its mirror with every sign bit flipped and no
+    NaN (negates), in whole-array comparisons: the boolean stack (copies,
+    negates), of shape (2, n_phi, n_z, 2) for rows and (2, n_z, 2) for
+    planes, False up to the middle."""
+    slices = np.moveaxis(bits, axis, 0)
+    n, half = len(slices), len(slices) // 2
+    upper = slices[n - half:]
+    diff = upper ^ slices[:half][::-1]
+    over = tuple(range(1, axis + 1))
+    flags = np.zeros((2, n, *slices.shape[axis + 1:]), dtype=bool)
+    flags[0, n - half:] = (diff == 0).all(axis=over)
+    flags[1, n - half:] = ((diff == _SIGN_BIT)
+                           & ((upper & ~_SIGN_BIT) <= _INF_BITS)).all(axis=over)
+    return flags
+
+
+def _component_sources(bits: np.ndarray) -> list[tuple]:
+    """For the real and for the imaginary half of a component's `_bits`, the
+    _plane_sources of its z-planes, each compared bitwise with the plane
+    before and by `_mirror_flags`, and the `_mirror_flags` of the phi-rows
+    of each plane. When every plane repeats, the mirror planes are not
+    compared, and only the rows of plane 0 are."""
+    n_z = bits.shape[2]
     repeats = np.zeros((n_z, 2), dtype=bool)
     repeats[1:] = (bits[:, :, 1:] == bits[:, :, :-1]).all(axis=(0, 1))
-    copies, negates = np.zeros((2, n_z, 2), dtype=bool)
-    if not repeats[1:].all():
-        # the upper half of the planes against their mirrors, in order
-        diff = bits[:, :, n_z - half:] ^ bits[:, :, half - 1::-1]
-        copies[n_z - half:] = (diff == 0).all(axis=(0, 1))
-        negates[n_z - half:] = (diff == _SIGN_BIT).all(axis=(0, 1))
-    return [_plane_sources(n_z, *(flags.__getitem__ for flags in part))
-            for part in zip(repeats.T.tolist(), copies.T.tolist(),
-                            negates.T.tolist())]
+    if repeats[1:].all():
+        planes = np.zeros((2, n_z, 2), dtype=bool)
+        rows = _mirror_flags(bits[:, :, :1], 1)
+    else:
+        planes, rows = _mirror_flags(bits, 2), _mirror_flags(bits, 1)
+    flags = (repeats.T.tolist(), *planes.transpose(0, 2, 1).tolist())  # by half
+    return [(_plane_sources(n_z, *(by_half[half].__getitem__ for by_half in flags)),
+             rows[..., half]) for half in range(2)]
 
 
 def _toggled(items: str) -> str:
@@ -428,20 +474,37 @@ def _toggled(items: str) -> str:
     return ("-" + items.replace(", ", ", -")).replace("--", "") if items else ""
 
 
-def _plane_texts(comp: np.ndarray, half: str, sources: list) -> list[str]:
-    """_json_items of the real or imaginary `half` of each z-plane of a
-    component, flattened phi-major. A plane with a source takes the text
-    object of its source plane, or that text `_toggled` if it holds no NaN."""
+def _source_text(texts: list[str], source: tuple[int, bool]) -> str:
+    """The text object of the source plane or row, or that text `_toggled`."""
+    text = texts[source[0]]
+    return _toggled(text) if source[1] else text
+
+
+def _plane_texts(comp: np.ndarray, half: str, sources: list,
+                 rows: np.ndarray) -> list[str]:
+    """The JSON items text of the real or imaginary `half` of each z-plane
+    of a component, flattened phi-major. A plane with a source takes its
+    `_source_text`. A plane formatted anew is its phi-rows' texts joined,
+    where a row with a source (the `_plane_sources` of the half's row
+    `_mirror_flags`, `rows`) takes its `_source_text` too, and the others
+    are formatted in one `_json_rows` call."""
     texts = []
     for iz, source in enumerate(sources):
-        text = None
-        if source is not None:
-            text = texts[source[0]]
-            if source[1]:
-                text = None if "N" in text else _toggled(text)
-        if text is None:
-            text = _json_items(getattr(comp[:, :, iz].T.ravel(), half))
-        texts.append(text)
+        if source is None:
+            copies, negates = rows[:, :, iz].tolist()
+            row_sources = _plane_sources(len(copies), None, copies.__getitem__,
+                                         negates.__getitem__)
+            plane = getattr(comp[:, :, iz].T, half)
+            fresh = iter(_json_rows(plane[[j for j, row in enumerate(row_sources)
+                                           if row is None]]))
+            row_texts = []
+            for row in row_sources:
+                row_texts.append(next(fresh) if row is None
+                                 else _source_text(row_texts, row))
+            # rows of no node (n_r = 0) add no text
+            texts.append(", ".join(filter(None, row_texts)))
+        else:
+            texts.append(_source_text(texts, source))
     return texts
 
 
@@ -469,8 +532,11 @@ def export_grid(grid: FieldGrid, format: str) -> str:
     each z-plane of each component part (the real or imaginary half of a
     component), where a part bitwise equal to the same part of the plane
     before, or to its mirror plane, reuses that plane's text, and a part
-    bitwise equal to its mirror with every sign bit flipped takes the
-    mirror's text with its signs toggled. The CSV splits a part's text into
+    bitwise equal to its mirror with every sign bit flipped (and no NaN,
+    which json writes without its sign) takes the mirror's text with its
+    signs toggled. Within a part formatted anew the phi-rows follow the
+    same mirror rule, row n_phi - 1 - j against row j, and the other rows
+    are formatted in one json.dumps. The CSV splits a part's text into
     its column once per run of planes that share it. A run of planes whose
     parts all repeat has its rows assembled once and each plane's text is
     one join of its z value; every other plane is assembled row by row.
@@ -540,8 +606,11 @@ def load_grid_json(doc: str) -> FieldGrid:
     A document in the layout `export_grid` writes is read by `_read_export`,
     which parses only the planes of each component "re" or "im" array that
     repeat no other (one plane of every array of a p = 0 mode, one of each
-    mirror pair of a p >= 1 `sample_grid`); json.loads reads any other
-    document whole. Either way the grid is the one json.loads would give. A
+    mirror pair of a p >= 1 `sample_grid`), and within those only the
+    phi-rows that mirror no other (one of each mirror pair of a derived
+    m >= 1 `sample_grid`), by comparing their texts; the document's mode
+    decides nothing. json.loads reads any other document whole. Either way
+    the grid is the one json.loads would give. A
     document that is not an object, lacks a key, holds a non-numeric or
     boolean geometry or mode number, an amplitude that is not a positive
     finite number, axes that do not match its shape, or a component "re" or
@@ -566,7 +635,7 @@ _HEAD_END = ', "components": {'
 
 def _read_export(doc: str) -> dict | None:
     """json.loads(doc), with each component read into one complex array of
-    shape (n_z, n_r * n_phi), for a document that is the head, with a shape
+    shape (n_z, n_phi, n_r), for a document that is the head, with a shape
     of three positive integers, then the six components in the layout and
     order `export_grid` writes them, each "re" and "im" array one that
     `_read_planes` reads, then JSON whitespace; None for any other text. A
@@ -591,7 +660,7 @@ def _read_export(doc: str) -> dict | None:
     n_r, n_phi, n_z = shape
     idx, components = cut + len(_HEAD_END), {}
     for name in _COMPONENT_NAMES:
-        planes = components[name] = np.empty((n_z, n_r * n_phi), dtype=complex)
+        planes = components[name] = np.empty((n_z, n_phi, n_r), dtype=complex)
         for half, lead in (("real", f'"{name}": {{"re": ['), ("imag", ', "im": [')):
             start = idx + len(lead)
             close = doc.find("]", start)
@@ -611,21 +680,20 @@ def _read_export(doc: str) -> dict | None:
 
 
 def _read_planes(text: str, out: np.ndarray) -> bool:
-    """Fill `out`, n_z planes of `size` floats, with what json reads from
-    the array items text `text`, and return True; False, with `out` partly
-    filled, unless the text holds no '"', '[', '{', l or r (no string,
-    array, object, true, false or null) and json reads no integer in it,
-    so that every comma falls between two floats. A text that is one
+    """Fill `out`, n_z planes of n_phi rows of n_r floats, with what json
+    reads from the array items text `text`, and return True; False, with
+    `out` partly filled, unless the text holds no '"', '[', '{', l or r (no
+    string, array, object, true, false or null) and json reads no integer
+    in it, so that every comma falls between two floats. A text that is one
     plane's text joined n_z times by ", " (every array of a p = 0 mode, and
-    any of n_z = 1) is checked and parsed as that one plane. Any other text
-    must be ASCII, with one space after each comma as its only whitespace;
-    every size-th comma then falls between planes. A plane whose text
-    equals the one before or its mirror, or is its mirror `_toggled` where
-    that holds no NaN, takes their values, as `_plane_sources` orders it,
-    or their negated values: each number is the mirror's with a "-" put in
-    front or taken off (json reads "0" and "-0" alike, as the integer 0).
-    The other planes are parsed in one json.loads."""
-    n_z, size = out.shape
+    any of n_z = 1) is read as that one plane. That plane, or any other
+    text, must be ASCII, with one space after each comma as its only
+    whitespace; every n_r-th comma then falls between rows. Planes, and the
+    rows of each plane parsed, take their `_text_sources`: the values of
+    the source, or their negation (each number is the mirror's with a "-"
+    put in front or taken off; json reads "0" and "-0" alike, as the
+    integer 0). The other rows are parsed in one json.loads."""
+    n_z, n_phi, n_r = out.shape
     width, rest = divmod(len(text) - 2 * (n_z - 1), n_z)
     plane = text[:width]
     joined = ", " + plane
@@ -636,36 +704,59 @@ def _read_planes(text: str, out: np.ndarray) -> bool:
     checked = plane if repeated else text
     if not checked.isascii() or any(mark in checked for mark in '"[{lr'):
         return False
-    if repeated:
-        planes = [plane] * n_z
-    else:
-        data = np.frombuffer(text.encode("ascii"), np.uint8)
-        commas = np.flatnonzero(data == ord(","))
-        # as many whitespace (or control) bytes as commas, one after each
-        if (commas.size != n_z * size - 1 or text.endswith(",")
-                or np.count_nonzero(data <= ord(" ")) != commas.size
-                or not (data[commas + 1] == ord(" ")).all()):
-            return False
-        ends = commas[size - 1::size].tolist()
-        planes = [text[begin:end] for begin, end
-                  in zip([0, *(end + 2 for end in ends)], [*ends, len(text)])]
-    sources = _plane_sources(
-        n_z, lambda k: planes[k] == planes[k - 1],
-        lambda k: planes[k] == planes[-1 - k],
-        lambda k: "N" not in planes[-1 - k] and planes[k] == _toggled(planes[-1 - k]))
+    data = np.frombuffer(checked.encode("ascii"), np.uint8)
+    commas = np.flatnonzero(data == ord(","))
+    # as many whitespace (or control) bytes as commas, one after each
+    if (commas.size != (1 if repeated else n_z) * n_phi * n_r - 1
+            or checked.endswith(",")
+            or np.count_nonzero(data <= ord(" ")) != commas.size
+            or not (data[commas + 1] == ord(" ")).all()):
+        return False
+    ends = commas[n_r - 1::n_r].tolist()
+    begins, ends = [0, *(end + 2 for end in ends)], [*ends, len(checked)]
+    planes = [plane] * n_z if repeated else [
+        text[begins[k * n_phi]:ends[k * n_phi + n_phi - 1]] for k in range(n_z)]
+    sources = _text_sources(planes, repeats=True)
+    # each row of the planes parsed takes the values of a parsed row, as
+    # they are or negated
     parsed = [k for k, source in enumerate(sources) if source is None]
+    take, negate, texts = [], [], []
+    for k in parsed:
+        bounds = slice(k * n_phi, (k + 1) * n_phi)
+        rows = [checked[begin:end]
+                for begin, end in zip(begins[bounds], ends[bounds])]
+        first = len(take)
+        for row, source in zip(rows, _text_sources(rows)):
+            if source is None:
+                take.append(len(texts))
+                negate.append(False)
+                texts.append(row)
+            else:
+                take.append(take[first + source[0]])
+                negate.append(source[1])
     try:
-        items = json.loads(f"[{', '.join(planes[k] for k in parsed)}]",
-                           parse_int=_refuse_integer)
+        items = json.loads(f"[{', '.join(texts)}]", parse_int=_refuse_integer)
     except ValueError:
         return False
-    if len(items) != len(parsed) * size:
+    if len(items) != len(texts) * n_r:
         return False
-    out[parsed] = np.reshape(array.array("d", items), (len(parsed), size))
+    values = np.reshape(array.array("d", items), (len(texts), n_r))[take]
+    np.negative(values, out=values, where=np.array(negate)[:, None])
+    out[parsed] = values.reshape(len(parsed), n_phi, n_r)
     for k, source in enumerate(sources):
         if source is not None:
             out[k] = -out[source[0]] if source[1] else out[source[0]]
     return True
+
+
+def _text_sources(texts: list[str], repeats: bool = False) -> list:
+    """_plane_sources of planes' or rows' texts by text equality: with the
+    text before where they may repeat, with the mirror's text, and with the
+    mirror's text `_toggled` where that holds no NaN."""
+    return _plane_sources(
+        len(texts), repeats and (lambda k: texts[k] == texts[k - 1]),
+        lambda k: texts[k] == texts[-1 - k],
+        lambda k: "N" not in texts[-1 - k] and texts[k] == _toggled(texts[-1 - k]))
 
 
 def _refuse_integer(text: str):

@@ -79,14 +79,24 @@ def bessel_j_prime(v, x):
     At x = 0 only v = 0 and v = 1 have series limits (0 and 1/2); other
     orders require x > 0. Takes and returns arrays as `bessel_j` does.
     Against mpmath for orders 0 to 30 and arguments up to 60 its error is
-    within 1e-13 of max(|J_{v-1}|, |J_v|, |J_{v+1}|) (tested).
+    within 1e-13 of max(|J_{v-1}|, |J_v|, |J_{v+1}|) (tested). For
+    0 < v < 1 the derivative grows like x^(v-1) toward the axis, and at
+    the smallest subnormal arguments J_{v-1} overflows (at v = 0.6,
+    x = 5e-324, where the derivative is 9.3e128) or the derivative itself
+    does (near 3e320 at v = 0.0096, x = 3e-323): a result that is not
+    finite raises ValueError.
     """
     v, x = _arrays(v, x)
     at_zero = x == 0.0
     if np.any(at_zero & (v != 0.0) & (v != 1.0)):
         raise ValueError(f"derivative at x=0 is only handled for v=0 and v=1, got v={v}")
     # the series limits at x = 0 (jvp gives -0.0 at v = 0)
-    return _result(np.where(at_zero, 0.5 * (v == 1.0), jvp(v, x)))
+    values = np.where(at_zero, 0.5 * (v == 1.0), jvp(v, x))
+    bad = ~np.isfinite(values)
+    if bad.any():
+        v_bad, x_bad = (float(np.broadcast_to(a, values.shape)[bad][0]) for a in (v, x))
+        raise ValueError(f"derivative of J_v overflows at v={v_bad!r}, x={x_bad!r}")
+    return _result(values)
 
 
 def _bracket(v: float, n: int) -> tuple[float, float]:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sectordra import (
+    C_LIGHT,
     MU_0,
     CylPoint,
     ModeFamily,
@@ -157,6 +158,46 @@ def test_fields_satisfy_faraday_and_gauss(table1, mode):
                     assert abs(curl + 1j * omega_mu * h_k) <= 1e-6 * omega_mu * h_norm
                 _, div_h = curl_div(h_field, r, phi, z, step)
                 assert abs(div_h) <= 1e-6 * math.hypot(wn.k_r, wn.k_z) * h_norm
+
+
+@pytest.mark.parametrize("mode", [
+    ModeSpec.derived(ModeFamily.TE, 1, 1, 0, math.pi / 2.0),
+    ModeSpec.derived(ModeFamily.TE, 1, 1, 1, math.pi / 2.0),
+    ModeSpec.derived(ModeFamily.TE, 2, 2, 2, math.pi / 2.0),
+    ModeSpec.explicit(ModeFamily.EH, 1.0, 1, 1),
+], ids=["m1p0", "m1p1", "m2n2p2", "v1p1"])
+def test_fields_satisfy_ampere_at_the_cutoff_frequency(table1, mode):
+    # with E sampled at the mode's frequency w, curl H = j (w_c^2 / w) eps E,
+    # which is Ampere's law at w_c = c k_c / sqrt(eps_r), k_c = hypot(k_r,
+    # k_z), where E scales as w_c / w. At w itself the relative miss is
+    # 1 - k_c^2 / k^2: the (v/a)^2 term of the resonance is not in the fields
+    omega = 2.0 * math.pi * resonant_frequency(table1, mode)
+    wn = wavenumbers(table1, mode)
+    k_c = math.hypot(wn.k_r, wn.k_z)
+    omega_c = C_LIGHT * k_c / math.sqrt(table1.eps_r)
+    eps = table1.eps_r / (MU_0 * C_LIGHT ** 2)
+    coef = omega_c ** 2 / omega * eps
+
+    def e_field(r, phi, z):
+        s = field_at(table1, mode, CylPoint(r, phi, z))
+        return s.E_r, s.E_phi, s.E_z
+
+    def h_field(r, phi, z):
+        s = field_at(table1, mode, CylPoint(r, phi, z))
+        return s.H_r, s.H_phi, s.H_z
+
+    step = 1e-5 * table1.a
+    for r, phi, z in itertools.product((0.3 * table1.a, 0.7 * table1.a),
+                                       (0.4, 1.2), (0.3 * table1.h, 0.6 * table1.h)):
+        e = e_field(r, phi, z)
+        e_norm = math.sqrt(sum(abs(e_k) ** 2 for e_k in e))
+        curl_h, _ = curl_div(h_field, r, phi, z, step)
+        for curl, e_k in zip(curl_h, e):
+            assert abs(curl - 1j * coef * e_k) <= 1e-6 * coef * e_norm
+        miss = math.sqrt(sum(abs(curl - 1j * omega * eps * e_k) ** 2
+                             for curl, e_k in zip(curl_h, e)))
+        assert miss / (omega * eps * e_norm) == pytest.approx(
+            1.0 - k_c ** 2 / wn.k ** 2, abs=1e-6)
 
 
 def test_boundary_residuals_small(table1):
@@ -407,31 +448,45 @@ def _record_csv_runs(monkeypatch):
     return runs
 
 
+def _record_formatted(monkeypatch):
+    # the numbers formatted by each _json_rows call
+    counts = []
+    real = fields._json_rows
+    monkeypatch.setattr(fields, "_json_rows",
+                        lambda rows: counts.append(rows.size) or real(rows))
+    return counts
+
+
+def _derived(table1, m=1, p=0):
+    return ModeSpec.derived(ModeFamily.TE, m, 1, p, table1.phi0)
+
+
 def test_repeated_planes_are_formatted_once(table1, monkeypatch):
     # a p = 0 mode does not vary along z, so each part is formatted once for
     # both exports of a grid, and the CSV rows of one plane are assembled:
-    # each plane is then one join of its z text
-    calls = []
-    real = fields._json_items
-    monkeypatch.setattr(fields, "_json_items",
-                        lambda part: calls.append(1) or real(part))
+    # each plane is then one join of its z text. Of its 4 phi-rows, row 2
+    # mirrors row 1 in every part of a derived mode, so at most rows 0, 1
+    # and 3 of 5 numbers each are formatted
+    counts = _record_formatted(monkeypatch)
     runs = _record_csv_runs(monkeypatch)
-    grid = sample_grid(table1, _mode(2.0), 5, 4, 6)
+    grid = sample_grid(table1, _derived(table1), 5, 4, 6)
 
     def export_both():
-        calls.clear()
+        counts.clear()
         for fmt in ("csv", "json"):
             export_grid(grid, fmt)
-        return len(calls)
+        return sum(counts)
 
-    assert export_both() == 12  # six components, real and imaginary parts
+    formatted = export_both()
+    assert len(counts) == 12 and formatted <= 12 * 3 * 5
 
-    # an edit alike in every plane, in a grid of its own, is formatted once
+    # an edit alike in every plane, in a grid of its own, is formatted once;
+    # it breaks one mirror row, which is then formatted too
     def edit(comps):
         comps["H_z"].real[1, 2, :] = 0.5
 
     grid = _with_planes(grid, edit)
-    assert export_both() == 12
+    assert export_both() == formatted + 5
     assert runs == [6, 6]
     # no plane of a p = 1 mode repeats: each has its rows assembled
     runs.clear()
@@ -462,24 +517,81 @@ def test_sampled_planes_mirror(table1, p, n_z):
             assert not np.ascontiguousarray(part).view(np.uint64).any()
 
 
+@pytest.mark.parametrize("n_phi", (4, 5, 33))
+@pytest.mark.parametrize("p", (0, 1, 2))
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_sampled_rows_mirror(table1, m, p, n_phi):
+    # a derived mode's interior phi-row n_phi - 1 - j is bitwise row j times
+    # (-1)^m in the parts that carry cos(v phi), and times -(-1)^m in those
+    # that carry sin(v phi), in every z-plane; the parts that vanish are
+    # +0.0 throughout. The sampled values are those of the mode taken as
+    # an explicit order (no phi mirror), within 8 m ulps of 1 of each
+    # part's peak: each azimuthal factor keeps its direct value's argument
+    # rounding, up to v phi0 = m pi
+    mode = ModeSpec.derived(ModeFamily.TE, m, 1, p, table1.phi0)
+    grid = sample_grid(table1, mode, 6, n_phi, 5)
+    direct = sample_grid(table1, ModeSpec.explicit(ModeFamily.TE, mode.v, 1, p),
+                         6, n_phi, 5)
+    sign = (-1.0) ** m
+    for name, half, factor in (("E_r", "imag", -sign), ("E_phi", "imag", sign),
+                               ("H_r", "real", sign), ("H_phi", "real", -sign),
+                               ("H_z", "real", sign)):
+        part = getattr(getattr(grid, name), half)
+        for j in range(1, (n_phi - 1) // 2 + 1):
+            if j < n_phi - 1 - j:
+                assert (part[:, n_phi - 1 - j].tobytes()
+                        == (factor * part[:, j]).tobytes())
+        want = getattr(getattr(direct, name), half)
+        peak = np.abs(want).max()
+        # at n_phi = 4 every node of sin(3 phi0 / 3 j) is a zero of it,
+        # where either part is roundoff
+        if not (n_phi == 4 and m == 3 and factor == -sign):
+            assert np.abs(part - want).max() <= 8 * m * 2.0 ** -52 * peak
+    for part in (grid.E_r.real, grid.E_phi.real, grid.E_z.real,
+                 grid.E_z.imag, grid.H_r.imag, grid.H_phi.imag, grid.H_z.imag):
+        assert not np.ascontiguousarray(part).view(np.uint64).any()
+
+
+@pytest.mark.parametrize("p", (0, 1, 2))
+def test_explicit_and_m0_grids_take_no_phi_mirror(table1, p):
+    # with n_z <= 3 no z-plane mirrors either, so the sampled grid is the
+    # direct evaluation at every node, bit for bit. Explicit EH v = 1 on a
+    # quarter sector swaps cos and sin between its faces (cos(pi/2 - phi) =
+    # sin(phi)), so it has no such symmetry; m = 0 has sin(v phi) = +0.0,
+    # which a mirror would turn into -0.0; and an order that the modal
+    # layer takes for m = 1 within its tolerance is not m pi / phi0 itself
+    for mode in (ModeSpec.explicit(ModeFamily.EH, 1.0, 1, p), _mode(2.0, 1, p),
+                 _mode(1.5, 1, p), _derived(table1, 0, p),
+                 ModeSpec(ModeFamily.TE, 2.0 + 1e-12, 1, p, m=1)):
+        for n_phi, n_z in ((5, 3), (8, 2)):
+            grid = sample_grid(table1, mode, 5, n_phi, n_z, amplitude=1.75)
+            want = fields._components(table1, mode, grid.r, grid.phi, grid.z,
+                                      1.75)
+            for name, comp in zip(_NAMES, want):
+                assert getattr(grid, name).tobytes() == comp.astype(complex).tobytes()
+
+
 def test_mirror_planes_are_formatted_once(table1, monkeypatch):
     # of the 33 planes of a p = 1 part, the 15 interior ones past the middle
-    # take the text of their mirror, as is or with its signs toggled
+    # take the text of their mirror, as is or with its signs toggled, and
+    # so do the 15 interior rows past the middle of a plane formatted anew:
+    # at most 18 rows of 5 numbers in each of at most 18 planes
     counts = []
-    real_items, real_texts = fields._json_items, fields._plane_texts
+    real_texts = fields._plane_texts
 
     def plane_texts(*args):
         counts.append(0)
         return real_texts(*args)
 
-    def json_items(part):
-        counts[-1] += 1
-        return real_items(part)
+    def json_rows(rows):
+        counts[-1] += rows.size
+        return real_rows(rows)
 
+    real_rows = fields._json_rows
     monkeypatch.setattr(fields, "_plane_texts", plane_texts)
-    monkeypatch.setattr(fields, "_json_items", json_items)
-    export_grid(sample_grid(table1, _mode(2.0, 1, 1), 5, 4, 33), "json")
-    assert len(counts) == 12 and max(counts) <= 18
+    monkeypatch.setattr(fields, "_json_rows", json_rows)
+    export_grid(sample_grid(table1, _derived(table1, 1, 1), 5, 33, 33), "json")
+    assert len(counts) == 12 and max(counts) <= 18 * 18 * 5
 
 
 def _break_one_mirror_value(comps):
@@ -511,6 +623,39 @@ def test_edited_mirror_planes_match_the_references(table1, edit, p):
     for fmt in ("csv", "json"):
         assert export_grid(edited, fmt) != export_grid(grid, fmt)
     # json reads a NaN without a sign: the loads are held to json.loads
+    doc = export_grid(edited, "json")
+    back, want = load_grid_json(doc), load_grid_json_reference(doc)
+    for name in _NAMES:
+        assert getattr(back, name).tobytes() == getattr(want, name).tobytes()
+
+
+def _break_one_mirror_row_value(comps):
+    comps["H_z"].real[2, -2, 1] *= 1.0 + 2.0 ** -50
+
+
+def _flip_one_mirror_row_zero(comps):
+    # H_z carries J_v(k_r r), which is 0 on the axis for v > 0
+    assert comps["H_z"].real[0, -2, 1] == 0.0
+    comps["H_z"].real[0, -2, 1] *= -1.0
+
+
+def _nan_in_mirror_rows(comps):
+    # as _nan_in_mirror_planes, in rows 1 and n_phi - 2 of one plane
+    comps["E_phi"].imag[1, 1, 1] = math.nan
+    comps["E_phi"].imag[1, -2, 1] = -math.nan
+    comps["H_r"].real[2, 1, 2] = math.nan
+    comps["H_r"].real[2, -2, 2] = math.nan
+
+
+@pytest.mark.parametrize("m, p", ((1, 0), (1, 1), (2, 1)))
+@pytest.mark.parametrize("edit", (_break_one_mirror_row_value,
+                                  _flip_one_mirror_row_zero, _nan_in_mirror_rows))
+def test_edited_mirror_rows_match_the_references(table1, edit, m, p):
+    grid = sample_grid(table1, _derived(table1, m, p), 5, 6, 4)
+    edited = _with_planes(grid, edit)
+    _assert_exports_match_references(edited)
+    for fmt in ("csv", "json"):
+        assert export_grid(edited, fmt) != export_grid(grid, fmt)
     doc = export_grid(edited, "json")
     back, want = load_grid_json(doc), load_grid_json_reference(doc)
     for name in _NAMES:
@@ -618,8 +763,11 @@ _FLOAT_BITS = st.one_of(
 @given(st.lists(_FLOAT_BITS, max_size=48), st.booleans())
 def test_csv_columns_from_json_items_are_repr(table1, bits, repeat):
     values = np.array(bits, dtype=np.uint64).view(float)
-    assert (fields._csv_column(fields._json_items(values))
+    assert (fields._csv_column(fields._json_rows(values[None])[0])
             == list(map(repr, values.tolist())))
+    if values.size and values.size % 2 == 0:  # two rows of one json.dumps
+        assert (", ".join(fields._json_rows(values.reshape(2, -1)))
+                == fields._json_rows(values[None])[0])
     if not bits:
         return
     # the same bits in every component of a grid, where plane 1 may repeat
@@ -828,23 +976,26 @@ def test_load_grid_json_rejects_bad_scalars(table1, section, key, value):
 def test_repeated_planes_are_parsed_once(table1, monkeypatch):
     # every part of a p = 0 mode repeats one plane, which _read_planes
     # parses once; a p = 1 part parses at most one plane of each mirror
-    # pair, its middle plane and its two caps
+    # pair, its middle plane and its two caps. Of the 4 phi-rows of a plane
+    # parsed, row 2 takes the values of row 1 in each part of a derived
+    # mode: at most rows 0, 1 and 3 of 5 numbers are parsed
     parsed = []
-    real = fields._plane_sources
+    loads = json.loads
 
-    def plane_sources(*args):
-        sources = real(*args)
-        parsed.append(sources.count(None))
-        return sources
+    def counting_loads(text, **kwargs):
+        value = loads(text, **kwargs)
+        if isinstance(value, list):
+            parsed.append(len(value))
+        return value
 
-    monkeypatch.setattr(fields, "_plane_sources", plane_sources)
-    for p, most in ((0, 1), (1, 18)):
-        grid = sample_grid(table1, _mode(2.0, 1, p), 5, 4, 33)
+    monkeypatch.setattr(fields, "json", types.SimpleNamespace(
+        loads=counting_loads, dumps=json.dumps))
+    for p, planes in ((0, 1), (1, 18)):
+        grid = sample_grid(table1, _derived(table1, 1, p), 5, 4, 33)
         doc = export_grid(grid, "json")
         parsed.clear()
         back = load_grid_json(doc)
-        assert len(parsed) == 12 and max(parsed) <= most
-        assert p == 1 or parsed == [1] * 12
+        assert len(parsed) == 12 and max(parsed) <= planes * 3 * 5
         for name in _NAMES:
             assert getattr(back, name).tobytes() == getattr(grid, name).tobytes()
 
@@ -901,19 +1052,21 @@ _MIRROR_ITEMS = ("0", "-0", "0.0", "-0.0", "NaN", "Infinity", "1e400", "true",
 
 
 def _mirror_item(draw, doc):
-    # one item text, at one node of plane k and of its mirror n_z - 1 - k
-    # in a part that varies along z, there as is or with its sign toggled
+    # one item text, at one node of plane k and of its mirror n_z - 1 - k,
+    # or of row j of a plane and of its mirror row n_phi - 1 - j, in a part
+    # that varies along z and phi, there as is or with its sign toggled
     data = json.loads(doc)
     n_r, n_phi, n_z = data["shape"]
     name, key = draw(st.sampled_from((("Er", "im"), ("Ephi", "im"), ("Hr", "re"),
                                       ("Hphi", "re"), ("Hz", "re"))))
     part = data["components"][name][key]
-    k, node = draw(st.integers(0, n_z - 1)), draw(st.integers(0, n_r * n_phi - 1))
+    iz, j, ir = (draw(st.integers(0, count - 1)) for count in (n_z, n_phi, n_r))
     item = draw(st.sampled_from(_MIRROR_ITEMS))
     toggled = item[1:] if item.startswith("-") else "-" + item
     texts = (item, toggled if draw(st.booleans()) else item)
-    for iz, marker in ((k, "@k@"), (n_z - 1 - k, "@mirror@")):
-        part[iz * n_r * n_phi + node] = marker
+    mirror = ((n_z - 1 - iz, j) if draw(st.booleans()) else (iz, n_phi - 1 - j))
+    for (plane, row), marker in (((iz, j), "@k@"), (mirror, "@mirror@")):
+        part[(plane * n_phi + row) * n_r + ir] = marker
     doc = json.dumps(data)
     for marker, text in zip(("@k@", "@mirror@"), texts):
         doc = doc.replace(f'"{marker}"', text)
@@ -941,7 +1094,7 @@ def _grid_documents(draw, geom):
                                 draw(st.integers(1, 2)), p, geom.phi0)
     else:
         mode = ModeSpec.explicit(ModeFamily.EH, 1.0, 1, p)
-    n_r, n_phi = draw(st.integers(3, 5)), draw(st.integers(2, 4))
+    n_r, n_phi = draw(st.integers(3, 5)), draw(st.integers(2, 6))
     n_z = draw(st.integers(1 if p == 0 else 2, 5))
     grid = sample_grid(geom, mode, n_r, n_phi, n_z,
                        amplitude=draw(st.sampled_from((1.0, 1.75, 3))))
@@ -1033,6 +1186,22 @@ def _signed_blank(doc):
             + doc[end:])
 
 
+def _signed_blank_row(doc):
+    # in every z-plane of H_z's real parts alike (so that a p = 0 array
+    # stays one plane repeated), a second blank after the first comma of
+    # phi-row 0, and row n_phi - 1 that text with each item's sign toggled
+    n_r, n_phi, _ = json.loads(doc)["shape"]
+    start = doc.index('"Hz": {"re": [') + len('"Hz": {"re": [')
+    end = doc.index("]", start)
+    items = doc[start:end].split(", ")
+    rows = [", ".join(items[k:k + n_r]) for k in range(0, len(items), n_r)]
+    for first in range(0, len(rows), n_phi):
+        rows[first] = rows[first].replace(", ", ",  ", 1)
+        rows[first + n_phi - 1] = ", ".join(("-" + item).replace("--", "")
+                                            for item in rows[first].split(", "))
+    return doc[:start] + ", ".join(rows) + doc[end:]
+
+
 def _trailing_comma(doc):
     # H_z's last real part replaced by " ,": as many blanks as commas again
     start = doc.index('"Hz": {"re": [')
@@ -1047,6 +1216,7 @@ _LAYOUT_EDITS = [
     ("blank-before-comma", _blank_before_comma, False, True),
     ("signed-nan", _signed_nan, False, False),
     ("signed-blank", _signed_blank, False, False),
+    ("signed-blank-row", _signed_blank_row, False, False),
     ("trailing-comma", _trailing_comma, False, False),
     ("trailing-newline", lambda doc: doc + "\n", True, True),
     # an object inside "axes" that holds "components" ahead of the real one

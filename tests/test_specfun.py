@@ -90,6 +90,16 @@ def test_derivative_at_origin():
         bessel_j_prime(2.0, 0.0)
 
 
+@pytest.mark.parametrize("v, x", [(0.6, 5e-324), (0.0096, 3e-323)])
+def test_derivative_refuses_a_result_that_is_not_finite(v, x):
+    # jvp returned inf here: J_{v-1} overflows at the first point (mpmath
+    # gives 9.3e128), and the derivative itself near 3e320 at the second
+    for args in ((v, x), (v, np.array([1.0, x])), (np.array([v, v]), x)):
+        with pytest.raises(ValueError, match=f"overflows at v={v!r}, x={x!r}$"):
+            bessel_j_prime(*args)
+    assert math.isfinite(bessel_j_prime(v, 1e-300))
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         bessel_j(-1.0, 2.0)
