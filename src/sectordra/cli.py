@@ -433,54 +433,48 @@ def _cmd_design(args) -> None:
 
 # ------------------------------------------------------------------ parser
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sectordra",
-        description="Modal analysis and power budgeting for sectoral "
-                    "cylindrical dielectric resonators.")
-    subs = parser.add_subparsers(dest="subcommand", required=True)
+def _add_output_args(sub: argparse.ArgumentParser,
+                     formats=("csv", "json")) -> None:
+    sub.add_argument("--format", choices=formats, default="csv")
+    sub.add_argument("--output", metavar="PATH", default=None,
+                     help="write here instead of stdout")
 
-    def common(sub, formats=("csv", "json")):
-        sub.add_argument("--format", choices=formats, default="csv")
-        sub.add_argument("--output", metavar="PATH", default=None,
-                         help="write here instead of stdout")
 
-    p = subs.add_parser("freq", help="resonant frequency of one mode")
+def _freq_args(p: argparse.ArgumentParser) -> None:
     _add_geometry_args(p)
     p.add_argument("--mode", required=True,
                    help="FAMILY:v=...|m=...,n=...,p=... (v wins over m)")
-    common(p)
-    p.set_defaults(func=_cmd_freq)
+    _add_output_args(p)
 
-    p = subs.add_parser("modes", help="enumerate modes below a frequency")
+
+def _modes_args(p: argparse.ArgumentParser) -> None:
     _add_geometry_args(p)
     p.add_argument("--fmax-ghz", type=float, required=True)
     p.add_argument("--m-max", type=int, default=6)
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--p-max", type=int, default=2)
-    common(p)
-    p.set_defaults(func=_cmd_modes)
+    _add_output_args(p)
 
-    p = subs.add_parser("field", help="sample a mode's fields on a grid")
+
+def _field_args(p: argparse.ArgumentParser) -> None:
     _add_geometry_args(p)
     p.add_argument("--mode", required=True)
     p.add_argument("--n-r", type=int, default=33)
     p.add_argument("--n-phi", type=int, default=33)
     p.add_argument("--n-z", type=int, default=33)
     p.add_argument("--amplitude", type=float, default=1.0)
-    common(p, formats=("csv", "json", "svg"))
-    p.set_defaults(func=_cmd_field)
+    _add_output_args(p, formats=("csv", "json", "svg"))
 
-    p = subs.add_parser("oracle",
-                        help="finite-difference cross-check of k_r values")
+
+def _oracle_args(p: argparse.ArgumentParser) -> None:
     _add_geometry_args(p)
     p.add_argument("--count", type=int, default=3)
     p.add_argument("--grid", type=int, default=64,
                    help="nodes per side of the polar grid")
-    common(p)
-    p.set_defaults(func=_cmd_oracle)
+    _add_output_args(p)
 
-    p = subs.add_parser("sar", help="peak mass-averaged SAR of a tissue grid")
+
+def _sar_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tissue", metavar="PATH", default=None,
                    help="tissue grid JSON file")
     p.add_argument("--tissue-csv", metavar="PATH", default=None,
@@ -488,10 +482,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sidecar", metavar="PATH", default=None,
                    help="JSON sidecar with shape, voxel_m, p_in_w")
     p.add_argument("--mass", choices=["1g", "10g"], required=True)
-    common(p)
-    p.set_defaults(func=_cmd_sar)
+    _add_output_args(p)
 
-    p = subs.add_parser("power", help="maximum input power under a SAR limit")
+
+def _power_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pin-w", type=float, required=True,
                    help="input power the SAR figure was computed at")
     p.add_argument("--sar", type=float, required=True,
@@ -499,10 +493,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--standard", choices=["ieee", "ecc"], required=True)
     p.add_argument("--mass", choices=["1g", "10g"], required=True)
     p.add_argument("--kind", choices=["average", "peak"], default="average")
-    common(p)
-    p.set_defaults(func=_cmd_power)
+    _add_output_args(p)
 
-    p = subs.add_parser("sweep", help="frequency table over one parameter")
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
     _add_geometry_args(p)
     p.add_argument("--param",
                    choices=[e.value for e in SweepParameter], required=True)
@@ -512,18 +506,61 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--mode", action="append", required=True,
                    help="repeatable: FAMILY:v=...|m=...,n=...,p=...")
-    common(p, formats=("csv", "json", "svg"))
-    p.set_defaults(func=_cmd_sweep)
+    _add_output_args(p, formats=("csv", "json", "svg"))
 
-    p = subs.add_parser("design", help="radius that hits a target frequency")
+
+def _design_args(p: argparse.ArgumentParser) -> None:
     _add_geometry_args(p)
     p.add_argument("--mode", required=True)
     p.add_argument("--target-ghz", type=float, required=True)
     p.add_argument("--a-min-mm", type=float, required=True)
     p.add_argument("--a-max-mm", type=float, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_design)
+    _add_output_args(p)
 
+
+# (name, help, argument adder, handler) of each subcommand
+_SUBCOMMANDS = (
+    ("freq", "resonant frequency of one mode", _freq_args, _cmd_freq),
+    ("modes", "enumerate modes below a frequency", _modes_args, _cmd_modes),
+    ("field", "sample a mode's fields on a grid", _field_args, _cmd_field),
+    ("oracle", "finite-difference cross-check of k_r values", _oracle_args,
+     _cmd_oracle),
+    ("sar", "peak mass-averaged SAR of a tissue grid", _sar_args, _cmd_sar),
+    ("power", "maximum input power under a SAR limit", _power_args,
+     _cmd_power),
+    ("sweep", "frequency table over one parameter", _sweep_args, _cmd_sweep),
+    ("design", "radius that hits a target frequency", _design_args,
+     _cmd_design),
+)
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser that adds its arguments the first time it
+    parses. The subparsers action hands it the rest of the command line
+    through `parse_known_args`, so one call adds the arguments of the one
+    subcommand named, and its help and usage errors see them all."""
+
+    def __init__(self, *, add_arguments, **kwargs):
+        super().__init__(**kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            self._add_arguments(self)
+            self._add_arguments = None
+        return super().parse_known_args(args, namespace)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="sectordra",
+        description="Modal analysis and power budgeting for sectoral "
+                    "cylindrical dielectric resonators.")
+    subs = parser.add_subparsers(dest="subcommand", required=True,
+                                 parser_class=_SubcommandParser)
+    for name, help_text, add_arguments, run in _SUBCOMMANDS:
+        sub = subs.add_parser(name, help=help_text, add_arguments=add_arguments)
+        sub.set_defaults(func=run)
     return parser
 
 

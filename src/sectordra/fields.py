@@ -165,8 +165,6 @@ def _components(geom: SectorGeometry, mode: ModeSpec, r: np.ndarray,
     axis = wn.k_r * 0.5 * (v == 1.0)
     r_off = np.where(on_axis, 1.0, r)  # a stand-in radius on the axis
     jv = bessel_j(v, wn.k_r * r)
-    vj_r = np.where(on_axis, axis, v * jv / r_off)
-    kjp = np.where(on_axis, axis, wn.k_r * bessel_j_prime(v, wn.k_r * r_off))
     cos_v = np.cos(v * phi)
     sin_v = np.sin(v * phi)
     cos_z = np.cos(wn.k_z * z)
@@ -205,6 +203,11 @@ def _components(geom: SectorGeometry, mode: ModeSpec, r: np.ndarray,
     e_r = np.zeros(h_z.shape, dtype=complex)
     e_phi = np.zeros_like(e_r)
     with np.errstate(over="ignore", invalid="ignore"):
+        # near r = 0 both radial factors may overflow, which the check
+        # below refuses
+        vj_r = np.where(on_axis, axis, v * jv / r_off)
+        kjp = np.where(on_axis, axis,
+                       wn.k_r * bessel_j_prime(v, wn.k_r * r_off))
         e_r.imag = omega * MU_0 / kr2 * scale * outer(vj_r, sin_v)
         e_phi.imag = omega * MU_0 / kr2 * scale * outer(kjp, cos_v)
         h_r = -wn.k_z / kr2 * scale * outer(kjp, cos_v, sin_z)

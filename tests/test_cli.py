@@ -477,6 +477,48 @@ def test_unknown_subcommand_exits_2(capsys):
     capsys.readouterr()
 
 
+_GEOMETRY_FLAGS = ("--radius-mm", "--height-mm", "--sector-deg", "--eps-r",
+                   "--geometry")
+_OUTPUT_FLAGS = ("--format", "--output")
+_SUBCOMMAND_FLAGS = {
+    "freq": (*_GEOMETRY_FLAGS, "--mode", *_OUTPUT_FLAGS),
+    "modes": (*_GEOMETRY_FLAGS, "--fmax-ghz", "--m-max", "--n-max", "--p-max",
+              *_OUTPUT_FLAGS),
+    "field": (*_GEOMETRY_FLAGS, "--mode", "--n-r", "--n-phi", "--n-z",
+              "--amplitude", *_OUTPUT_FLAGS),
+    "oracle": (*_GEOMETRY_FLAGS, "--count", "--grid", *_OUTPUT_FLAGS),
+    "sar": ("--tissue", "--tissue-csv", "--sidecar", "--mass", *_OUTPUT_FLAGS),
+    "power": ("--pin-w", "--sar", "--standard", "--mass", "--kind",
+              *_OUTPUT_FLAGS),
+    "sweep": (*_GEOMETRY_FLAGS, "--param", "--start", "--stop", "--steps",
+              "--mode", *_OUTPUT_FLAGS),
+    "design": (*_GEOMETRY_FLAGS, "--mode", "--target-ghz", "--a-min-mm",
+               "--a-max-mm", *_OUTPUT_FLAGS),
+}
+
+
+def test_every_subcommand_gets_its_flags(capsys, monkeypatch):
+    # each subcommand's arguments are added only when it is dispatched to,
+    # so each help text must still list every flag of its own
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and err == ""
+    for name in _SUBCOMMAND_FLAGS:
+        assert re.search(rf"^    {name}(?: |$)", out, re.MULTILINE), name
+    for name, flags in _SUBCOMMAND_FLAGS.items():
+        code, out, err = run(capsys, name, "--help")
+        assert code == 0 and err == "", name
+        assert out.startswith(f"usage: sectordra {name} [-h]"), name
+        listed = set(re.findall(r"^  (--[a-z-]+)", out, re.MULTILINE))
+        assert listed == set(flags), name
+    # the console script calls main() with no argv, which reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["sectordra", "power", "--pin-w", "1",
+                                      "--sar", "53.3", "--standard", "ieee",
+                                      "--mass", "10g"])
+    assert main() == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "p_max_w"
+
+
 def _readme_cli_examples():
     # (command line, output) of each "$ sectordra ..." example in the
     # README's "Quick start (CLI)" block, a trailing "\" joining the next line

@@ -284,6 +284,17 @@ def test_overflowing_points_and_boundaries_are_rejected():
         boundary_residuals(geom, mode)
     with pytest.raises(ValueError, match="field components overflow at amplitude"):
         sample_grid(geom, mode, 5, 5, 5)
+    # 0 < v < 1 next to the axis: k_r J_v' overflowed in a multiply and
+    # v J_v / r in a divide, each with a RuntimeWarning before the check
+    for a, phi0, eps_r, v, p, r in (
+            (1.9141488214676358e-14, 3.269795716308037, 7.5783639820740145,
+             0.011254814689603761, 1, 5e-324),
+            (1.0864786781644076e-17, 1.8678280635281252, 2.4810169833714855,
+             0.0012152726785717104, 2, 6.44094518e-315)):
+        geom = SectorGeometry(a=a, h=a, phi0=phi0, eps_r=eps_r)
+        mode = ModeSpec.explicit(ModeFamily.EH, v, 1, p)
+        with pytest.raises(ValueError, match="field components overflow$"):
+            field_at(geom, mode, CylPoint(r, phi0 / 3.0, a / 3.0))
 
 
 def _log_uniform(lo: float, hi: float):
