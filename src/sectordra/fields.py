@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import array
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -88,10 +87,11 @@ _FIELDS = ("E_r", "E_phi", "E_z", "H_r", "H_phi", "H_z")
 _COMPONENT_NAMES = ("Er", "Ephi", "Ez", "Hr", "Hphi", "Hz")
 # nodes per grid (n_r * n_phi * n_z). At 64^3 on a 2-vCPU VM, with 95 MB of
 # process peak after sampling, a derived TE m = 1 grid's first export: CSV
-# 0.06 s and 162 MB peak at p = 0, 0.48-0.52 s and 213 MB at p = 1; JSON
-# 0.04-0.045 s and 133 MB at p = 0, 0.33-0.35 s and 168 MB at p = 1. The
-# second export reuses the grid's texts: JSON after CSV takes 0.03-0.04 s.
-# A load takes 0.04 s at p = 0 and 0.26-0.27 s at p = 1
+# 0.06 s and 159 MB peak at p = 0, 0.46 s and 195 MB at p = 1; JSON 0.025 s
+# and 107 MB at p = 0, 0.32 s and 134 MB at p = 1. The second export reuses
+# the grid's texts: JSON after CSV takes 0.012-0.017 s, CSV after JSON
+# 0.044 s at p = 0 and 0.18 s at p = 1. A load takes 0.03-0.04 s at p = 0
+# and 0.26 s at p = 1
 _MAX_NODES = 2**18
 
 
@@ -511,16 +511,37 @@ def _plane_texts(comp: np.ndarray, half: str, sources: list,
     return texts
 
 
-def _csv_rows(r_phi: list[str], columns, z_texts: list[str]):
-    """The CSV rows of a run of z-planes that share their 12 component
-    column texts. A single plane takes one row-join pass. In a longer run
-    row i reads r_phi[i] + "," + z + "," + tail[i], so the rows are split
-    around z once, and each plane is one join of its z text."""
-    if len(z_texts) == 1 or not r_phi:
-        return map(",".join, zip(r_phi, itertools.repeat(z_texts[0]), *columns))
-    tails = list(map(",".join, zip(*columns)))
-    pieces = [f"{r_phi[0]},", *map(",{}\n{},".format, tails, r_phi[1:]),
-              f",{tails[-1]}"]
+def _separated(texts: list[str]) -> list[str]:
+    """The nonempty `texts` with ", " between them: the pieces of
+    ", ".join(filter(None, texts)), for a larger join to copy once."""
+    texts = list(filter(None, texts))
+    pieces = [", "] * (2 * len(texts) - 1)
+    pieces[::2] = texts
+    return pieces
+
+
+# a CSV row template: the "r,phi," text, the z slot, then "," and a slot for
+# each of the 12 component parts, and the row's end
+_CSV_ROW = [None, None, *[",", None] * 12, "\n"]
+_CSV_WIDTH = len(_CSV_ROW)
+
+
+def _csv_rows(template: list, columns, z_texts: list[str]) -> list[str]:
+    """The CSV text, rows ended by "\\n", of each z-plane of a run of planes
+    that share their 12 component column texts. `template` is the rows of
+    one plane, each laid out as `_CSV_ROW` with its "r,phi," text in place:
+    the columns fill its part slots by slice assignment. A single plane
+    fills its z slot too and is one join. A longer run joins the rows once
+    with a mark in the z slots and splits the text there: each plane is
+    those pieces joined by its z value."""
+    for k, column in enumerate(columns):
+        template[3 + 2 * k::_CSV_WIDTH] = column
+    rows = len(template) // _CSV_WIDTH
+    if len(z_texts) == 1:
+        template[1::_CSV_WIDTH] = [z_texts[0]] * rows
+        return ["".join(template)]
+    template[1::_CSV_WIDTH] = ["\0"] * rows  # a mark that no number's text holds
+    pieces = "".join(template).split("\0")
     return [z.join(pieces) for z in z_texts]
 
 
@@ -540,20 +561,24 @@ def export_grid(grid: FieldGrid, format: str) -> str:
     signs toggled. Within a part formatted anew the phi-rows follow the
     same mirror rule, row n_phi - 1 - j against row j, and the other rows
     are formatted in one json.dumps. The CSV splits a part's text into
-    its column once per run of planes that share it. A run of planes whose
-    parts all repeat has its rows assembled once and each plane's text is
-    one join of its z value; every other plane is assembled row by row.
+    its column once per run of planes that share it and fills the columns
+    into one row template per export, so each plane is one join of that
+    template, and a run of planes whose parts all repeat joins its rows
+    once and each further plane is one join of its z value. Either document
+    is one join of its pieces: the CSV's planes, and the JSON's head,
+    array leads and plane texts, so no part of it is copied twice.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
     texts = grid._export_texts
     if format == "csv":
         # the (r, phi) text of a row is the same in every z-plane: join it
-        # once, phi-major like the rows
+        # once, phi-major like the rows, into the one row template
         r_text = list(map(repr, grid.r.tolist()))
-        r_phi = [f"{r},{phi}" for phi in map(repr, grid.phi.tolist())
-                 for r in r_text]
-        lines = [",".join(CSV_COLUMNS)]
+        template = _CSV_ROW * (len(r_text) * len(grid.phi))
+        template[::_CSV_WIDTH] = [f"{r},{phi}," for phi in map(repr, grid.phi.tolist())
+                                  for r in r_text]
+        lines = [",".join(CSV_COLUMNS) + "\n"]
         z_texts = list(map(repr, grid.z.tolist()))
         # a run of planes starts at each plane with a part whose text is
         # not the one of the plane before
@@ -565,9 +590,9 @@ def export_grid(grid: FieldGrid, format: str) -> str:
             columns = [columns[k] if start and part[start] is part[start - 1]
                        else _csv_column(part[start])
                        for k, part in enumerate(texts)]
-            lines.extend(_csv_rows(r_phi, columns, z_texts[start:stop]))
-        lines.append("")  # the final newline, without a second copy of the text
-        return "\n".join(lines)
+            lines.extend(_csv_rows(template, columns, z_texts[start:stop]))
+        del template, columns  # not held while the document is joined
+        return "".join(lines)
     mode = grid.mode
     head = json.dumps({
         "geometry": {
@@ -593,12 +618,12 @@ def export_grid(grid: FieldGrid, format: str) -> str:
     })
     # the components go last, as json.dumps(doc) would place them, in the
     # layout `_read_export` reads back, flat and z-major to match the CSV (an
-    # empty plane has no items); one join copies each array's items into
+    # empty plane has no items); the one join copies each plane's text into
     # the document
-    pieces = [head[:-1], ', "components": {']
+    pieces = [head[:-1], _HEAD_END]
     for name, real, imag in zip(_COMPONENT_NAMES, texts[::2], texts[1::2]):
-        pieces += [f'"{name}": {{"re": [', ", ".join(filter(None, real)),
-                   '], "im": [', ", ".join(filter(None, imag)), "]}", ", "]
+        pieces += [f'"{name}": {{"re": [', *_separated(real),
+                   '], "im": [', *_separated(imag), "]}", ", "]
     pieces[-1] = "}}"  # close "components" and the document
     return "".join(pieces)
 
@@ -738,7 +763,8 @@ def _read_planes(text: str, out: np.ndarray) -> bool:
                 take.append(take[first + source[0]])
                 negate.append(source[1])
     try:
-        items = json.loads(f"[{', '.join(texts)}]", parse_int=_refuse_integer)
+        items = json.loads("".join(["[", *_separated(texts), "]"]),
+                           parse_int=_refuse_integer)
     except ValueError:
         return False
     if len(items) != len(texts) * n_r:

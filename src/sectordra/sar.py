@@ -143,7 +143,8 @@ def max_allowed_power(p_in: float, sar_achieved: float, limit: SarLimit) -> floa
 
 
 # voxels per tissue grid, the cap on field grid nodes (64^3): a 64^3 SAR
-# average takes 0.1-0.2 s on a varied field and seconds on a uniform one
+# average takes 0.035-0.055 s (1 g to 10 g) on a varied field of 2 mm
+# voxels on a 2-vCPU VM, and seconds on a uniform one
 _MAX_VOXELS = 2**18
 
 
@@ -278,10 +279,18 @@ def averaged_sar(grid: TissueGrid, mass_target_kg: float) -> AveragedSar:
     dm, dw = slack * total, slack * total_w
     mass_t, weighted_t = _summed_area(voxel_mass), _summed_area(weighted)
 
+    # a cube of half-width w holds at most (2w+1)^3 voxels, so below the
+    # first w where that many of the heaviest voxels, with both bounds, can
+    # reach the target, no table mass can and no center is summed again.
+    # The factor 1 + 4 eps covers the rounding of the test itself
+    heaviest = float(voxel_mass.max())
+    first = next((w for w in range(max(shape))
+                  if (2 * w + 1) ** 3 * heaviest * (1.0 + 4.0 * np.finfo(float).eps)
+                  + 2.0 * dm >= mass_target_kg), max(shape))
     width = np.full(shape, -1)
     cube_m = np.empty(shape)
     cube_w = np.empty(shape)
-    for w in range(max(shape) + 1):
+    for w in range(first, max(shape) + 1):
         open_ = width < 0
         if not open_.any():
             break

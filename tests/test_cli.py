@@ -461,6 +461,46 @@ def test_output_failures_exit_1(capsys, tmp_path, cmd, where):
     assert list(tmp_path.iterdir()) == []
 
 
+# file names of any characters but "/" (so a path stays in its directory)
+# and NUL: lone surrogates, which the file system encoding refuses ("\ud800")
+# or writes as a byte ("\udcff"), the names of directories and names longer
+# than a file system takes among them
+_FILE_NAMES = st.one_of(
+    st.text(st.characters(exclude_characters="/\0", exclude_categories=()),
+            min_size=1, max_size=12),
+    st.sampled_from(("\ud800", "a\udcff", ".", "..", "dir")),
+    st.text(min_size=200, max_size=300))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(("name", "nul-byte", "directory", "missing-parent")),
+       _FILE_NAMES, st.integers(0, 12),
+       st.sampled_from(("", "/", "/.", "/..")))
+def test_fuzzed_output_paths_exit_cleanly(tmp_path, table1, where, name, cut,
+                                          suffix):
+    (tmp_path / "dir").mkdir(exist_ok=True)
+    path = {"name": f"{tmp_path}/{name}",
+            "nul-byte": f"{tmp_path}/{name[:cut]}\0{name[cut:]}",
+            "directory": f"{tmp_path}/dir{suffix}",
+            "missing-parent": f"{tmp_path}/missing/{name}"}[where]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["field", *G, "--mode", TE210, "--n-r", "3", "--n-phi", "3",
+                     "--n-z", "1", "--output", path])
+    assert "Traceback" not in err.getvalue() and out.getvalue() == ""
+    if code == 0:
+        assert where == "name"
+        grid = sample_grid(table1, ModeSpec.explicit(ModeFamily.TE, 2.0, 1, 0),
+                           3, 3, 1)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == export_grid(grid, "csv")
+    else:
+        assert code == 1
+        assert err.getvalue().startswith(f"cannot write {path!r}: ")
+    assert not (tmp_path / "missing").is_dir()
+
+
 def test_module_entry_point():
     # the package this suite imports, also where PYTHONPATH is unset
     src = str(Path(sectordra.__file__).resolve().parents[1])

@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -876,6 +877,25 @@ def test_replaced_grid_formats_its_own_components(table1):
     assert "_export_texts" not in vars(dataclasses.replace(grid))
     _assert_exports_match_references(copy)
     assert export_grid(copy, "json") != export_grid(grid, "json")
+
+
+@pytest.mark.parametrize("fmt, p, bound", (("json", 0, 1.1), ("json", 1, 1.1),
+                                           ("csv", 1, 2.25)))
+def test_export_copies_its_document_once(table1, fmt, p, bound):
+    # with the grid's texts made, an export's traced peak is its document
+    # and the pieces it is joined from: the JSON joins each plane's kept
+    # text into it once; the CSV joins the rows of each plane into one text
+    # (about 2.0 times the document at p = 1, against 2.5 with a string per
+    # row), and those plane texts into the document
+    grid = sample_grid(table1, _derived(table1, 1, p), 33, 33, 33)
+    grid._export_texts
+    tracemalloc.start()
+    try:
+        doc = export_grid(grid, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * len(doc)
 
 
 def test_csv_and_json_agree(table1):

@@ -18,6 +18,7 @@ from sectordra import (
     tissue_grid_from_csv,
     tissue_grid_from_json,
 )
+from sectordra import sar
 
 from oracles import averaged_sar_brute
 
@@ -149,6 +150,25 @@ def test_uniform_grid_ties_break_low():
                                    grid.voxel_m, 0.001)
     assert result_1g.peak_avg_w_per_kg == peak
     assert result_1g.center_index == idx
+
+
+def test_widths_no_center_can_reach_are_skipped(monkeypatch):
+    # 27 voxels (w = 1) hold less than the target however they are summed,
+    # so the table is differenced from w = 2 on, where the uniform grid's
+    # 125-voxel cubes reach it
+    widths = []
+    real = sar._cube_sums
+    monkeypatch.setattr(sar, "_cube_sums",
+                        lambda table, w: widths.append(w) or real(table, w))
+    grid = _random_grid(shape=(6, 6, 6), voxel=0.002)
+    grid = TissueGrid(grid.voxel_m, grid.sigma, np.full(grid.shape, 1000.0),
+                      grid.e_mag)
+    target = 40 * 1000.0 * 0.002 ** 3
+    result = averaged_sar(grid, target)
+    assert min(widths) == 2
+    peak, idx = averaged_sar_brute(grid.sigma, grid.rho, grid.e_mag,
+                                   grid.voxel_m, target)
+    assert (result.peak_avg_w_per_kg, result.center_index) == (peak, idx)
 
 
 @st.composite
