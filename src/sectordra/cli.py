@@ -31,7 +31,9 @@ from .modal import (
     SectorGeometry,
     enumerate_modes,
     geometry_from_json,
+    mm_to_m,
     resonant_frequency,
+    to_si,
 )
 from .oracle import compare_modes
 from .sar import (
@@ -85,12 +87,12 @@ def _build_geometry(args, *, need_radius=True, need_height=True,
     if need_eps and args.eps_r is None:
         raise _UsageError("--eps-r is required (or use --geometry)")
     return SectorGeometry(
-        a=_si(args.radius_mm if args.radius_mm is not None else 1000.0,
-              "--radius-mm", _meters),
-        h=_si(args.height_mm if args.height_mm is not None else 1000.0,
-              "--height-mm", _meters),
-        phi0=_si(args.sector_deg if args.sector_deg is not None else 90.0,
-                 "--sector-deg", math.radians, top=360.0),
+        a=to_si(args.radius_mm if args.radius_mm is not None else 1000.0,
+                "--radius-mm", mm_to_m),
+        h=to_si(args.height_mm if args.height_mm is not None else 1000.0,
+                "--height-mm", mm_to_m),
+        phi0=to_si(args.sector_deg if args.sector_deg is not None else 90.0,
+                   "--sector-deg", math.radians, top=360.0),
         eps_r=args.eps_r if args.eps_r is not None else 1.0,
     )
 
@@ -101,24 +103,6 @@ def _hz(ghz: float, flag: str) -> float:
     if math.isfinite(ghz) and not math.isfinite(hz):
         raise ValueError(f"{flag} {ghz!r} is out of floating-point range in Hz")
     return hz
-
-
-def _meters(mm: float) -> float:
-    return mm / 1000.0
-
-
-def _si(value: float, flag: str, convert, top: float = math.inf) -> float:
-    """A length or angle flag in meters or radians. A value outside
-    (0, top] or one the conversion underflows is named as typed, not as
-    the SI number the library would report."""
-    if not (0.0 < value <= top and math.isfinite(value)):
-        bound = "positive and finite" if top == math.inf else f"in (0, {top:g}]"
-        raise ValueError(f"{flag} must be {bound}, got {value!r}")
-    si = convert(value)
-    if si == 0.0:
-        raise ValueError(f"{flag} {value!r} is out of floating-point range "
-                         "in SI units")
-    return si
 
 
 def _height_given(args) -> bool:
@@ -391,8 +375,8 @@ def _cmd_power(args) -> None:
 
 # the SI conversion and the largest typed value of a swept length or angle,
 # as the geometry flags take them; eps_r is swept as typed
-_SWEEP_UNITS = {SweepParameter.RADIUS: (_meters, math.inf),
-                SweepParameter.HEIGHT: (_meters, math.inf),
+_SWEEP_UNITS = {SweepParameter.RADIUS: (mm_to_m, math.inf),
+                SweepParameter.HEIGHT: (mm_to_m, math.inf),
                 SweepParameter.SECTOR_ANGLE: (math.radians, 360.0)}
 
 
@@ -405,8 +389,8 @@ def _cmd_sweep(args) -> None:
     start, stop = args.start, args.stop
     if parameter in _SWEEP_UNITS:
         convert, top = _SWEEP_UNITS[parameter]
-        start = _si(start, "--start", convert, top)
-        stop = _si(stop, "--stop", convert, top)
+        start = to_si(start, "--start", convert, top)
+        stop = to_si(stop, "--stop", convert, top)
     spec = SweepSpec(parameter=parameter, start=start, stop=stop,
                      steps=args.steps, modes=modes)
     rows = sweep(geom, spec)
@@ -425,8 +409,8 @@ def _cmd_design(args) -> None:
     mode = _parse_mode(args.mode, geom.phi0)
     _require_height_for(args, [mode])
     a = solve_radius(geom, mode, _hz(args.target_ghz, "--target-ghz"),
-                     _si(args.a_min_mm, "--a-min-mm", _meters),
-                     _si(args.a_max_mm, "--a-max-mm", _meters))
+                     to_si(args.a_min_mm, "--a-min-mm", mm_to_m),
+                     to_si(args.a_max_mm, "--a-max-mm", mm_to_m))
     rows = [{"radius_mm": a * 1000.0}]
     _emit(_render(["radius_mm"], rows, args.format), args.output)
 

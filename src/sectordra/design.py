@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import is_index
+from .errors import check_index, check_real
 from .modal import C_LIGHT, ModeSpec, SectorGeometry, resonant_frequency, wavenumbers
 
 __all__ = [
@@ -46,8 +46,8 @@ class SweepParameter(enum.Enum):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept parameter over [start, stop] in `steps` uniform points,
-    2 <= steps <= 10000."""
+    """One swept parameter over [start, stop], 0 < start < stop finite, in
+    `steps` uniform points, 2 <= steps <= 10000."""
 
     parameter: SweepParameter
     start: float
@@ -60,16 +60,17 @@ class SweepSpec:
                            self.parameter if isinstance(self.parameter, SweepParameter)
                            else SweepParameter(self.parameter))
         object.__setattr__(self, "modes", tuple(self.modes))
-        if not (self.start < self.stop):
+        # every swept parameter is positive, and so the span stays finite
+        check_real(self.start, "sweep start")
+        check_real(self.stop, "sweep stop")
+        if not self.start < self.stop:
             raise ValueError(
                 f"sweep needs start < stop, got [{self.start}, {self.stop}]")
-        if not is_index(self.steps, 2):
-            raise ValueError(f"sweep needs an integer of at least 2 steps, "
-                             f"got {self.steps}")
-        if self.steps > _MAX_STEPS:
+        steps = check_index(self.steps, "sweep steps", 2)
+        if steps > _MAX_STEPS:
             raise ValueError(f"sweep takes at most {_MAX_STEPS} steps, "
-                             f"got {self.steps}")
-        object.__setattr__(self, "steps", int(self.steps))
+                             f"got {steps}")
+        object.__setattr__(self, "steps", steps)
         if not self.modes:
             raise ValueError("sweep needs at least one mode")
 
@@ -137,11 +138,10 @@ def solve_radius(base: SectorGeometry, mode: ModeSpec, target_f_hz: float,
     when it lies at or below the axial cutoff of the mode, and when the
     radius that reaches it lies outside the bracket.
     """
-    if not (0.0 < a_min < a_max):
+    check_real(a_min, "a_min")
+    if not a_min < check_real(a_max, "a_max"):
         raise ValueError(f"need 0 < a_min < a_max, got [{a_min}, {a_max}]")
-    if not (target_f_hz > 0.0 and math.isfinite(target_f_hz)):
-        raise ValueError(
-            f"target frequency must be positive and finite, got {target_f_hz}")
+    check_real(target_f_hz, "target frequency")
     # at a = 1 m the transverse wavenumbers are X_vn and v themselves
     geom = SectorGeometry(a=1.0, h=base.h, phi0=base.phi0, eps_r=base.eps_r)
     wn = wavenumbers(geom, _mode_at(mode, geom))

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import is_index, json_object
+from .errors import check_index, check_real, json_object
 from .modal import (
     MU_0,
     ModeFamily,
@@ -236,8 +236,7 @@ def field_at(geom: SectorGeometry, mode: ModeSpec, point: CylPoint) -> FieldSamp
             overflows.
     """
     for name, top in (("r", geom.a), ("phi", geom.phi0), ("z", geom.h)):
-        if not (0.0 <= getattr(point, name) <= top):
-            raise ValueError(f"point {name}={getattr(point, name)} outside [0, {top}]")
+        check_real(getattr(point, name), f"point {name}", high=top, closed=True)
     comps = _components(geom, mode, *(np.array([value], dtype=float)
                                       for value in (point.r, point.phi, point.z)))
     return FieldSample(point, *(complex(comp[0, 0, 0]) for comp in comps))
@@ -308,23 +307,15 @@ class FieldGrid:
 
 def _validate_counts(mode: ModeSpec, n_r: int, n_phi: int,
                      n_z: int) -> tuple[int, int, int]:
-    for name, count in (("n_r", n_r), ("n_phi", n_phi), ("n_z", n_z)):
-        if not is_index(count, 1):
-            raise ValueError(f"{name} must be a positive integer, got {count}")
-    if n_r < 2 or n_phi < 2:
-        raise ValueError("need at least 2 nodes along r and phi")
+    n_r = check_index(n_r, "n_r", 2)
+    n_phi = check_index(n_phi, "n_phi", 2)
+    n_z = check_index(n_z, "n_z", 1)
     if n_r * n_phi * n_z > _MAX_NODES:
         raise ValueError(f"grid of {n_r} x {n_phi} x {n_z} nodes exceeds "
                          f"the cap of {_MAX_NODES}")
     if n_z < 2 and not (n_z == 1 and mode.p == 0):
         raise ValueError("n_z = 1 is only allowed for p = 0 modes")
-    return int(n_r), int(n_phi), int(n_z)
-
-
-def _check_amplitude(amplitude) -> None:
-    if isinstance(amplitude, bool) or not (amplitude > 0.0
-                                           and math.isfinite(amplitude)):
-        raise ValueError(f"amplitude must be positive, got {amplitude!r}")
+    return n_r, n_phi, n_z
 
 
 def sample_grid(geom: SectorGeometry, mode: ModeSpec, n_r: int, n_phi: int,
@@ -340,7 +331,7 @@ def sample_grid(geom: SectorGeometry, mode: ModeSpec, n_r: int, n_phi: int,
     ValueError.
     """
     n_r, n_phi, n_z = _validate_counts(mode, n_r, n_phi, n_z)
-    _check_amplitude(amplitude)
+    check_real(amplitude, "amplitude")
     r = np.linspace(0.0, geom.a, n_r)
     phi = np.linspace(0.0, geom.phi0, n_phi)
     z = np.linspace(0.0, geom.h, n_z) if n_z > 1 else np.zeros(1)
@@ -359,9 +350,7 @@ def boundary_residuals(geom: SectorGeometry, mode: ModeSpec,
     sector leaves a face residual, which is reported as is. A component
     that overflows on a boundary surface raises ValueError.
     """
-    if not is_index(resolution, 8):
-        raise ValueError(f"resolution must be an integer >= 8, got {resolution}")
-    resolution = int(resolution)
+    resolution = check_index(resolution, "resolution", 8)
     r = np.linspace(0.0, geom.a, resolution)
     phi = np.linspace(0.0, geom.phi0, resolution)
     z = np.linspace(0.0, geom.h, resolution)
@@ -799,8 +788,7 @@ def _grid_from_document(data: dict) -> FieldGrid:
     md = data["mode"]
     mode = ModeSpec(family=ModeFamily(md["family"]), v=md["v"], n=md["n"],
                     p=md["p"], m=md["m"])
-    amplitude = data["amplitude"]
-    _check_amplitude(amplitude)
+    amplitude = check_real(data["amplitude"], "amplitude")
     n_r, n_phi, n_z = data["shape"]
     r, phi, z = (np.array(data["axes"][key], dtype=float)
                  for key in ("r_m", "phi_rad", "z_m"))

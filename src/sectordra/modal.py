@@ -33,7 +33,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .errors import is_index
+from .errors import check_index, check_real
 from .specfun import bessel_zero
 
 __all__ = [
@@ -76,18 +76,11 @@ def azimuthal_order(m: int, phi0: float) -> float:
     Args:
         m: non-negative integer azimuthal index.
         phi0: sector angle in radians, > 0.
+
+    An order that overflows raises ValueError.
     """
-    if not is_index(m, 0):
-        raise ValueError(f"azimuthal index must be a non-negative integer, got {m}")
-    if not (phi0 > 0.0 and math.isfinite(phi0)):
-        raise ValueError(f"sector angle must be positive and finite, got {phi0}")
-    return m * math.pi / phi0
-
-
-def _refuse_bool(value, what: str) -> None:
-    # Python takes True and False for the numbers 1 and 0
-    if isinstance(value, bool):
-        raise ValueError(f"{what} must be a number, got {value!r}")
+    v = check_index(m, "azimuthal index", 0) * math.pi / check_real(phi0, "sector angle")
+    return check_real(v, "azimuthal order m pi / phi0", closed=True)
 
 
 @dataclass(frozen=True)
@@ -107,16 +100,10 @@ class SectorGeometry:
     eps_r: float
 
     def __post_init__(self) -> None:
-        for name in ("a", "h", "phi0", "eps_r"):
-            _refuse_bool(getattr(self, name), f"geometry {name}")
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise ValueError(f"radius must be positive, got {self.a}")
-        if not (self.h > 0.0 and math.isfinite(self.h)):
-            raise ValueError(f"height must be positive, got {self.h}")
-        if not (0.0 < self.phi0 <= 2.0 * math.pi):
-            raise ValueError(f"sector angle must lie in (0, 2 pi], got {self.phi0}")
-        if not (self.eps_r >= 1.0 and math.isfinite(self.eps_r)):
-            raise ValueError(f"relative permittivity must be >= 1, got {self.eps_r}")
+        check_real(self.a, "radius")
+        check_real(self.h, "height")
+        check_real(self.phi0, "sector angle", high=math.tau)
+        check_real(self.eps_r, "relative permittivity", 1.0, closed=True)
 
     @classmethod
     def quarter(cls, a: float, h: float, eps_r: float) -> "SectorGeometry":
@@ -142,15 +129,11 @@ class ModeSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.family, ModeFamily):
             raise ValueError(f"family must be a ModeFamily, got {self.family!r}")
-        _refuse_bool(self.v, "azimuthal order")
-        if not (self.v >= 0.0 and math.isfinite(self.v)):
-            raise ValueError(f"azimuthal order must be >= 0, got {self.v}")
-        if not is_index(self.n, 1):
-            raise ValueError(f"radial index must be a positive integer, got {self.n}")
-        if not is_index(self.p, 0):
-            raise ValueError(f"axial index must be a non-negative integer, got {self.p}")
-        if self.m is not None and not is_index(self.m, 0):
-            raise ValueError(f"azimuthal index must be a non-negative integer, got {self.m}")
+        check_real(self.v, "azimuthal order", closed=True)
+        check_index(self.n, "radial index", 1)
+        check_index(self.p, "axial index", 0)
+        if self.m is not None:
+            check_index(self.m, "azimuthal index", 0)
 
     @classmethod
     def derived(cls, family: ModeFamily, m: int, n: int, p: int,
@@ -161,7 +144,8 @@ class ModeSpec:
     @classmethod
     def explicit(cls, family: ModeFamily, v: float, n: int, p: int) -> "ModeSpec":
         """Mode with a directly assigned azimuthal order."""
-        return cls(family=family, v=float(v), n=n, p=p, m=None)
+        # checked before float(), which reads True and '1' as 1.0
+        return cls(family, float(check_real(v, "azimuthal order", closed=True)), n, p)
 
 
 @dataclass(frozen=True)
@@ -244,13 +228,10 @@ def enumerate_modes(geom: SectorGeometry, f_max: float, m_max: int,
     Returns:
         list of (ModeSpec, frequency_hz) pairs.
     """
-    if not (f_max > 0.0 and math.isfinite(f_max)):
-        raise ValueError(f"frequency cutoff must be positive, got {f_max}")
-    for name, bound, least in (("m_max", m_max, 1), ("n_max", n_max, 1),
-                               ("p_max", p_max, 0)):
-        if not is_index(bound, least):
-            raise ValueError(f"{name} must be an integer >= {least}, got {bound}")
-    m_max, n_max, p_max = int(m_max), int(n_max), int(p_max)
+    check_real(f_max, "frequency cutoff")
+    m_max = check_index(m_max, "m_max", 1)
+    n_max = check_index(n_max, "n_max", 1)
+    p_max = check_index(p_max, "p_max", 0)
 
     entries: list[tuple[ModeSpec, float]] = []
 
@@ -303,25 +284,26 @@ _GEOMETRY_KEYS = ("radius_mm", "height_mm", "sector_deg", "eps_r")
 _MODE_KEYS = ("family", "m", "v", "n", "p")
 
 
-def _require_number(data: dict, key: str) -> float:
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"key {key!r} must be a number, got {value!r}")
-    return float(value)
+def mm_to_m(mm: float) -> float:
+    return mm / 1000.0
 
 
-def _require_index(data: dict, key: str, what: str, least: int) -> int:
-    value = data[key]
-    if not isinstance(value, (int, float)) or not is_index(value, least):
-        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
-    return int(value)
+def to_si(value: float, what: str, convert, top: float = math.inf) -> float:
+    """A length in mm or an angle in degrees, as typed, in meters or radians;
+    ValueError naming it as typed when it is outside (0, top] or underflows."""
+    si = convert(check_real(value, what, high=top))
+    if si == 0.0:
+        raise ValueError(f"{what} {value!r} is out of floating-point range "
+                         "in SI units")
+    return si
 
 
 def geometry_from_json(data: dict) -> SectorGeometry:
     """Geometry from its JSON document form (mm and degrees at this boundary).
 
     The document must carry exactly the keys radius_mm, height_mm,
-    sector_deg, eps_r; unknown keys are rejected.
+    sector_deg, eps_r; unknown keys are rejected. A bad length or angle is
+    named by its key and its value as typed (see `to_si`).
     """
     if not isinstance(data, dict):
         raise ValueError(f"geometry document must be an object, got {type(data).__name__}")
@@ -332,10 +314,10 @@ def geometry_from_json(data: dict) -> SectorGeometry:
     if missing:
         raise ValueError(f"missing geometry keys: {', '.join(missing)}")
     return SectorGeometry(
-        a=_require_number(data, "radius_mm") / 1000.0,
-        h=_require_number(data, "height_mm") / 1000.0,
-        phi0=math.radians(_require_number(data, "sector_deg")),
-        eps_r=_require_number(data, "eps_r"),
+        a=to_si(data["radius_mm"], "radius_mm", mm_to_m),
+        h=to_si(data["height_mm"], "height_mm", mm_to_m),
+        phi0=to_si(data["sector_deg"], "sector_deg", math.radians, top=360.0),
+        eps_r=float(check_real(data["eps_r"], "relative permittivity", 1.0, closed=True)),
     )
 
 
@@ -359,11 +341,12 @@ def mode_from_json(data: dict, geom: SectorGeometry) -> ModeSpec:
     for key in ("n", "p"):
         if key not in data:
             raise ValueError(f"mode document needs an {key!r} key")
-    n = _require_index(data, "n", "radial index", 1)
-    p = _require_index(data, "p", "axial index", 0)
+    # int() of a whole float index, as ModeSpec keeps what it is given
+    n = check_index(data["n"], "radial index", 1)
+    p = check_index(data["p"], "axial index", 0)
     if "v" in data:
-        return ModeSpec.explicit(family, _require_number(data, "v"), n, p)
+        return ModeSpec.explicit(family, data["v"], n, p)
     if "m" in data:
-        m = _require_index(data, "m", "azimuthal index", 0)
+        m = check_index(data["m"], "azimuthal index", 0)
         return ModeSpec.derived(family, m, n, p, geom.phi0)
     raise ValueError("mode document needs either 'v' or 'm'")

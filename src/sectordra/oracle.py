@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, is_index
+from .errors import ConvergenceError, check_index, check_real
 from .modal import ModeFamily, ModeSpec, SectorGeometry, wavenumbers
 
 __all__ = ["FDProblem", "CompareRow", "fd_transverse_eigs", "compare_modes"]
@@ -68,16 +68,13 @@ class FDProblem:
     n_phi: int
 
     def __post_init__(self) -> None:
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise ValueError(f"radius must be positive, got {self.a}")
-        if not (0.0 < self.phi0 <= 2.0 * math.pi):
-            raise ValueError(f"sector angle must lie in (0, 2 pi], got {self.phi0}")
-        for name, count in (("n_r", self.n_r), ("n_phi", self.n_phi)):
-            if not is_index(count, 16):
-                raise ValueError(f"{name} must be an integer >= 16, got {count}")
+        check_real(self.a, "radius")
+        check_real(self.phi0, "sector angle", high=math.tau)
+        for name in ("n_r", "n_phi"):
+            count = check_index(getattr(self, name), name, 16)
             if count > _MAX_GRID:
                 raise ValueError(f"{name} must be at most {_MAX_GRID}, got {count}")
-            object.__setattr__(self, name, int(count))  # the dataclass is frozen
+            object.__setattr__(self, name, count)  # the dataclass is frozen
 
 
 @np.errstate(all="ignore")
@@ -135,15 +132,14 @@ def fd_transverse_eigs(problem: FDProblem, count: int) -> list[float]:
     operator leaves floating-point range, or rounding leaves an eigenpair
     residual above 1e-3 of its eigenvalue.
     """
-    if not is_index(count, 1):
-        raise ValueError(f"count must be a positive integer, got {count}")
+    count = check_index(count, "count", 1)
     if count >= (n := problem.n_r * problem.n_phi):
         raise ValueError(f"requested {count} eigenvalues from a {n}-dim operator")
     if count * n > _MAX_ENTRIES:
         raise ValueError(f"{count} FD eigenvectors on a {problem.n_r} x "
                          f"{problem.n_phi} grid would hold more than "
                          f"{_MAX_ENTRIES} values")
-    return _fd_eigenpairs(problem, int(count))[0]
+    return _fd_eigenpairs(problem, count)[0]
 
 
 def _fd_eigenpairs(problem: FDProblem, count: int, blocks: list[int] | None = None
@@ -224,8 +220,7 @@ def compare_modes(geom: SectorGeometry, count: int, grid: int) -> list[CompareRo
     grid cannot represent (m >= grid or n > grid) is refused with
     ValueError before any solve.
     """
-    if not is_index(count, 1):
-        raise ValueError(f"count must be a positive integer, got {count}")
+    count = check_index(count, "count", 1)
     if count > _MAX_COUNT:
         raise ValueError(f"count must be at most {_MAX_COUNT}, got {count}")
     problem = FDProblem(a=geom.a, phi0=geom.phi0, n_r=grid, n_phi=grid)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import is_index, json_object
+from .errors import check_real, is_index, json_object
 
 __all__ = [
     "SarStandard",
@@ -116,14 +116,17 @@ def limit_lookup(standard, mass, kind=LimitKind.AVERAGE) -> SarLimit:
 
 
 def point_sar(sigma: float, e_mag: float, rho: float) -> float:
-    """Local SAR sigma * e_mag^2 / rho in W/kg."""
-    if rho <= 0.0 or not math.isfinite(rho):
-        raise ValueError(f"mass density must be positive, got {rho}")
-    if sigma < 0.0:
-        raise ValueError(f"conductivity must be >= 0, got {sigma}")
-    if e_mag < 0.0:
-        raise ValueError(f"field magnitude must be >= 0, got {e_mag}")
-    return sigma * e_mag ** 2 / rho
+    """Local SAR sigma * e_mag^2 / rho in W/kg; a SAR that overflows the
+    floats raises ValueError."""
+    check_real(sigma, "conductivity", closed=True)
+    check_real(e_mag, "field magnitude", closed=True)
+    try:
+        sar = sigma * e_mag ** 2 / check_real(rho, "mass density")
+    except OverflowError:  # float ** raises where float * gives inf
+        sar = math.inf
+    if sar == math.inf:
+        raise ValueError(f"SAR {sigma} * {e_mag}^2 / {rho} is out of floating-point range")
+    return sar
 
 
 def max_allowed_power(p_in: float, sar_achieved: float, limit: SarLimit) -> float:
@@ -131,10 +134,8 @@ def max_allowed_power(p_in: float, sar_achieved: float, limit: SarLimit) -> floa
 
     A ratio that overflows or underflows to zero raises ValueError.
     """
-    if not (p_in > 0.0 and math.isfinite(p_in)):
-        raise ValueError(f"input power must be positive, got {p_in}")
-    if not (sar_achieved > 0.0 and math.isfinite(sar_achieved)):
-        raise ValueError(f"achieved SAR must be positive, got {sar_achieved}")
+    check_real(p_in, "input power")
+    check_real(sar_achieved, "achieved SAR")
     p_max = p_in * (limit.value / sar_achieved)
     if not (p_max > 0.0 and math.isfinite(p_max)):
         raise ValueError(f"input power {p_in} W at SAR {sar_achieved} W/kg "
@@ -153,28 +154,27 @@ class TissueGrid:
 
     Arrays share one (nx, ny, nz) shape of at most 2**18 voxels (64^3);
     e_mag is the field magnitude obtained at reference input power p_in_w.
-    Linear voxel indices are x-major, matching the file format.
+    Linear voxel indices are x-major, matching the file format. The grid
+    holds a read-only copy of each array, so an array it was built from
+    can change without reaching it. voxel_m is at most 1e100.
     """
 
     def __init__(self, voxel_m: float, sigma, rho, e_mag, p_in_w: float = 1.0):
-        sigma = np.asarray(sigma, dtype=float)
-        rho = np.asarray(rho, dtype=float)
-        e_mag = np.asarray(e_mag, dtype=float)
+        sigma = np.array(sigma, dtype=float)
+        rho = np.array(rho, dtype=float)
+        e_mag = np.array(e_mag, dtype=float)
         if not (sigma.shape == rho.shape == e_mag.shape) or sigma.ndim != 3:
             raise ValueError(
                 f"sigma, rho, e_mag must share one 3-D shape, got "
                 f"{sigma.shape}, {rho.shape}, {e_mag.shape}")
         _check_size(sigma.shape)
-        if not (voxel_m > 0.0 and math.isfinite(voxel_m)):
-            raise ValueError(f"voxel edge must be positive, got {voxel_m}")
-        if voxel_m > 1e100:  # the voxel volume, its cube, would overflow
-            raise ValueError(f"voxel edge {voxel_m} m is too large")
-        if not (p_in_w > 0.0 and math.isfinite(p_in_w)):
-            raise ValueError(f"reference power must be positive, got {p_in_w}")
+        check_real(voxel_m, "voxel edge", high=1e100)
+        check_real(p_in_w, "reference power")
         for name, arr in (("conductivity", sigma), ("mass density", rho),
                           ("field magnitude", e_mag)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite everywhere")
+            arr.flags.writeable = False
         if np.any(sigma < 0.0):
             raise ValueError("conductivity must be >= 0 everywhere")
         if np.any(rho <= 0.0):
@@ -193,8 +193,10 @@ class TissueGrid:
 
     def scaled_field(self, factor: float) -> "TissueGrid":
         """Same tissue with every field magnitude multiplied by factor."""
-        return TissueGrid(self.voxel_m, self.sigma, self.rho,
-                          self.e_mag * factor, self.p_in_w)
+        check_real(factor, "field factor", closed=True)
+        with np.errstate(over="ignore"):  # inf is refused as not finite
+            e_mag = self.e_mag * factor
+        return TissueGrid(self.voxel_m, self.sigma, self.rho, e_mag, self.p_in_w)
 
 
 @dataclass(frozen=True)
@@ -250,20 +252,19 @@ def averaged_sar(grid: TissueGrid, mass_target_kg: float) -> AveragedSar:
     np.sum(weighted[cube]) / np.sum(mass[cube]). The reported value and its
     tie rule are therefore those of the exhaustive loop, bit for bit.
     """
-    if not (mass_target_kg > 0.0 and math.isfinite(mass_target_kg)):
-        raise ValueError(f"mass target must be positive, got {mass_target_kg}")
-    voxel_mass = grid.rho * grid.voxel_m ** 3
-    total = float(voxel_mass.sum())
+    check_real(mass_target_kg, "mass target")
+    # an overflow, or inf times a voxel mass of 0, is refused just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        voxel_mass = grid.rho * grid.voxel_m ** 3
+        psar = grid.sigma * grid.e_mag ** 2 / grid.rho
+        weighted = psar * voxel_mass
+        total, total_w = float(voxel_mass.sum()), float(weighted.sum())
     if not math.isfinite(total):
         raise ValueError(f"grid mass {total} kg is not finite")
     if total < mass_target_kg:
         raise ValueError(
             f"grid holds {total:.6g} kg, below the averaging mass "
             f"{mass_target_kg:.6g} kg")
-    with np.errstate(over="ignore"):  # an overflow is rejected just below
-        psar = grid.sigma * grid.e_mag ** 2 / grid.rho
-        weighted = psar * voxel_mass
-    total_w = float(weighted.sum())
     if not math.isfinite(total_w):
         raise ValueError(
             f"mass-weighted SAR sums to {total_w} W, not a finite value")
@@ -349,8 +350,7 @@ def tissue_grid_from_json(text: str) -> TissueGrid:
     data = json_object(text, "tissue grid document")
     try:
         shape = _shape(data["shape"])
-        voxel = float(data["voxel_m"])
-        p_in = float(data["p_in_w"])
+        voxel, p_in = data["voxel_m"], data["p_in_w"]
         # array("d") takes the JSON numbers and booleans, and raises
         # TypeError at anything else, which numpy's float conversion would
         # read as a number, a nan or a nested array
@@ -375,11 +375,10 @@ def tissue_grid_from_csv(csv_text: str, sidecar_text: str) -> TissueGrid:
     meta = json_object(sidecar_text, "tissue grid sidecar")
     try:
         shape = _shape(meta["shape"])
-        voxel = float(meta["voxel_m"])
-        p_in = float(meta["p_in_w"])
+        voxel, p_in = meta["voxel_m"], meta["p_in_w"]
     except KeyError as exc:
         raise ValueError(f"tissue grid sidecar is missing key {exc}") from None
-    except (TypeError, OverflowError) as exc:
+    except TypeError as exc:
         raise ValueError(f"tissue grid sidecar holds a malformed value: {exc}") from None
     rows = []
     for line_no, line in enumerate(csv_text.splitlines(), start=1):

@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy.special import jv, jvp
 
-from .errors import ConvergenceError, is_index
+from .errors import ConvergenceError, check_index, check_real
 
 __all__ = ["bessel_j", "bessel_j_prime", "bessel_zero", "ConvergenceError"]
 
@@ -139,11 +139,8 @@ def bessel_zero(v: float, n: int) -> float:
         ConvergenceError: if the scan or the refinement exhausts its
             iteration budget (indicates a bug, not a user error).
     """
-    if not (v >= 0.0 and math.isfinite(v)):  # a scalar check, cheaper than _arrays
-        raise ValueError(f"bessel order must be finite and >= 0, got {v}")
-    if not is_index(n, 1):
-        raise ValueError(f"zero index must be a positive integer, got {n}")
-    lo, hi = _bracket(v, int(n))
+    check_real(v, "bessel order", closed=True)  # a scalar check, cheaper than _arrays
+    lo, hi = _bracket(v, check_index(n, "zero index", 1))
     f_lo = jv(v, lo)
     xk = 0.5 * (lo + hi)
     step_tol = _TOL * max(1.0, xk)

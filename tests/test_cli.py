@@ -67,6 +67,10 @@ def test_freq_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "freq", *G, "--mode", "TE:n=1,p=0")
     assert code == 2
+    code, _, err = run(capsys, "freq", *G, "--mode", "TE v=2,n=1,p=0")
+    assert code == 2 and "expected FAMILY:v=...|m=...,n=...,p=..." in err
+    code, _, err = run(capsys, "freq", *G, "--mode", "TE:v=2,n=1,p=0,q=1")
+    assert code == 2 and "bad index 'q=1'" in err
     # an index too large for a float is a usage error, not an OverflowError
     code, out, err = run(capsys, "freq", *G, "--mode",
                          "TE:v=2,n=1" + "0" * 400 + ",p=0")
@@ -91,9 +95,14 @@ def test_geometry_file_and_conflict(capsys, tmp_path):
     code, _, err = run(capsys, "freq", "--geometry", str(path),
                        "--radius-mm", "10", "--mode", TE210)
     assert code == 2 and "--radius-mm" in err
+    # a length that underflows in meters is named as typed, as a flag is
+    tiny = {"radius_mm": 1e-322, "height_mm": 2.54, "sector_deg": 90.0,
+            "eps_r": 12.85}
     for text, message in (("[" * 100_000 + "]" * 100_000,
                            "geometry document nests too deeply"),
-                          ("[1]", "geometry document must be a JSON object")):
+                          ("[1]", "geometry document must be a JSON object"),
+                          (json.dumps(tiny), "radius_mm 1e-322 is out of "
+                                             "floating-point range in SI units")):
         path.write_text(text)
         code, out, err = run(capsys, "freq", "--geometry", str(path),
                              "--mode", TE210)

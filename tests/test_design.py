@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sectordra import (
+    C_LIGHT,
     ModeFamily,
     ModeSpec,
     SectorGeometry,
@@ -162,3 +163,8 @@ def test_solve_radius_with_axial_index(table1):
     f = resonant_frequency(table1, mode)
     a = solve_radius(table1, mode, f, 0.006, 0.024)
     assert a == pytest.approx(table1.a, rel=1e-13)
+    # no radius reaches a target at or below the axial cutoff c k_z / 2 pi n
+    cutoff = C_LIGHT / (2.0 * table1.h * math.sqrt(table1.eps_r))
+    for target in (cutoff, 0.5 * cutoff):
+        with pytest.raises(ValueError, match="at or below the axial cutoff"):
+            solve_radius(table1, mode, target, 0.006, 0.024)

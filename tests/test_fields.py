@@ -54,7 +54,7 @@ def test_normalization(table1):
     assert np.allclose(scaled.H_z, 2.5 * grid.H_z, rtol=1e-14, atol=0.0)
     assert np.allclose(scaled.E_phi, 2.5 * grid.E_phi, rtol=1e-14, atol=0.0)
     # True would pass as 1, and the JSON export would then write true
-    with pytest.raises(ValueError, match="amplitude must be positive"):
+    with pytest.raises(ValueError, match="amplitude must be a number, got True"):
         sample_grid(table1, _mode(2.0), 17, 17, 5, amplitude=True)
 
 

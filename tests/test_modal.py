@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -42,8 +43,9 @@ def test_geometry_validation():
         SectorGeometry(a=0.01, h=0.01, phi0=1.0, eps_r=0.5)
     # Python takes True for 1, so each of these built a geometry
     good = dict(a=0.012, h=0.00254, phi0=math.pi / 2.0, eps_r=12.85)
-    for key in good:
-        with pytest.raises(ValueError, match=f"geometry {key} must be a number"):
+    for key, what in (("a", "radius"), ("h", "height"), ("phi0", "sector angle"),
+                      ("eps_r", "relative permittivity")):
+        with pytest.raises(ValueError, match=f"^{what} must be a number, got True$"):
             SectorGeometry(**dict(good, **{key: True}))
 
 
@@ -65,8 +67,10 @@ def test_mode_validation():
     for args in ((True, 1, 0), (2.0, True, 0), (2.0, 1, False)):
         with pytest.raises(ValueError):
             ModeSpec(ModeFamily.TE, *args)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^azimuthal index must be an integer >= 0, got True$"):
         ModeSpec(ModeFamily.TE, 2.0, 1, 0, m=True)
+    with pytest.raises(ValueError, match="family must be a ModeFamily, got 'TE'"):
+        ModeSpec("TE", 2.0, 1, 0)
     with pytest.raises(ValueError):
         azimuthal_order(True, math.pi / 2.0)
     with pytest.raises(ValueError):
@@ -306,3 +310,8 @@ def test_mode_json_v_precedence(table1):
     with pytest.raises(ValueError):
         mode_from_json({"family": "TE", "v": 1.0, "n": 1, "p": 0, "q": 2},
                        table1)
+    for doc, message in (([1.0, 1, 0], "mode document must be an object, got list"),
+                         ({"v": 1.0, "n": 1, "p": 0}, "needs a 'family' key"),
+                         ({"family": "EH", "v": 1.0, "p": 0}, "needs an 'n' key")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mode_from_json(doc, table1)

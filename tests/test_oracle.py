@@ -43,6 +43,10 @@ def test_problem_validation():
     with pytest.raises(ValueError, match="from a 256-dim operator"):
         fd_transverse_eigs(FDProblem(a=1.0, phi0=math.pi / 2.0,
                                      n_r=16, n_phi=16), 256)
+    # 216 eigenvectors at 512^2 is the cap, refused before any solve
+    with pytest.raises(ValueError, match="217 FD eigenvectors on a 512 x 512 grid"):
+        fd_transverse_eigs(FDProblem(a=1.0, phi0=math.pi / 2.0,
+                                     n_r=512, n_phi=512), 217)
 
 
 @pytest.mark.parametrize("grid", [16, 24, 32])

@@ -41,6 +41,10 @@ def test_point_sar():
         point_sar(-0.1, 1.0, 1000.0)
     with pytest.raises(ValueError):
         point_sar(1.0, -1.0, 1000.0)
+    # e_mag ** 2 raised OverflowError, and the second came out as inf
+    for args in ((1.0, 1e200, 1e-10), (1e300, 1e10, 1e-300)):
+        with pytest.raises(ValueError, match="out of floating-point range$"):
+            point_sar(*args)
 
 
 def test_limit_table():
@@ -115,6 +119,28 @@ def test_overflowing_sar_is_rejected():
     grid = TissueGrid(0.004, ones, 1000.0 * ones, 1e160 * ones)
     with pytest.raises(ValueError, match="not a finite value"):
         averaged_sar(grid, 0.0001)
+    # the voxel masses overflow: numpy warned before the refusal
+    grid = TissueGrid(1e100, ones, 1e10 * ones, ones)
+    with pytest.raises(ValueError, match="grid mass inf kg is not finite"):
+        averaged_sar(grid, 0.001)
+
+
+def test_tissue_grid_holds_read_only_copies():
+    # a density written after construction reached averaged_sar unchecked:
+    # -1e6 kg/m^3 in one voxel gave "grid holds -0.937 kg"
+    ones = np.ones((4, 4, 4))
+    sigma, rho, e_mag = ones.copy(), 1000.0 * ones, ones.copy()
+    grid = TissueGrid(0.002, sigma, rho, e_mag)
+    before = averaged_sar(grid, 0.0001)
+    rho[0, 0, 0] = -1e6
+    for arr in (sigma, e_mag):
+        arr *= 2.0
+    assert averaged_sar(grid, 0.0001) == before
+    for name, arr in (("sigma", sigma), ("rho", rho), ("e_mag", e_mag)):
+        held = getattr(grid, name)
+        assert not np.shares_memory(held, arr)
+        with pytest.raises(ValueError, match="read-only"):
+            held[0, 0, 0] = 1.0
 
 
 def test_matches_brute_force_exactly():
@@ -388,6 +414,22 @@ def test_file_error_paths():
     # csv body with a row missing
     with pytest.raises(ValueError):
         tissue_grid_from_csv("\n".join(cdoc.splitlines()[:-1]) + "\n", sidecar)
+    # the header line is optional; a row of another width is not read
+    lines = cdoc.splitlines()
+    assert lines[0] == "index,sigma,rho,e_mag"
+    headless = tissue_grid_from_csv("\n".join(lines[1:]) + "\n", sidecar)
+    assert np.array_equal(headless.e_mag, tissue_grid_from_csv(cdoc, sidecar).e_mag)
+    lines[3] += ",1.0"
+    with pytest.raises(ValueError, match="line 4: expected 4 columns, got 5"):
+        tissue_grid_from_csv("\n".join(lines) + "\n", sidecar)
+    # a sidecar without a key, and one whose shape is not a list
+    meta = json.loads(sidecar)
+    del meta["voxel_m"]
+    with pytest.raises(ValueError, match="sidecar is missing key 'voxel_m'"):
+        tissue_grid_from_csv(cdoc, json.dumps(meta))
+    meta["voxel_m"], meta["shape"] = 0.002, 3
+    with pytest.raises(ValueError, match="sidecar holds a malformed value"):
+        tissue_grid_from_csv(cdoc, json.dumps(meta))
     # shuffled index column
     lines = cdoc.splitlines()
     lines[1], lines[2] = lines[2], lines[1]
