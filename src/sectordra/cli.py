@@ -24,7 +24,7 @@ import numpy as np
 
 from .design import SweepParameter, SweepSpec, solve_radius, sweep
 from .errors import ConvergenceError, json_object
-from .fields import export_grid, sample_grid
+from .fields import export_pieces, sample_grid
 from .modal import (
     ModeFamily,
     ModeSpec,
@@ -170,14 +170,19 @@ def _rows_json(rows: list[dict]) -> str:
     return json.dumps(rows, indent=2) + "\n"
 
 
-def _emit(doc: str, output: str | None) -> None:
+def _emit(doc, output: str | None) -> None:
+    texts = [doc] if isinstance(doc, str) else doc  # written as they come
     if output is None:
-        sys.stdout.write(doc)
+        sys.stdout.writelines(texts)
         return
     try:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+        fh = open(output, "w", encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ValueError(f"cannot write {output!r}: {exc}") from exc
+    try:
+        with fh:
+            fh.writelines(texts)
+    except OSError as exc:  # an exception from the texts passes through
         raise ValueError(f"cannot write {output!r}: {exc}") from exc
 
 
@@ -325,7 +330,7 @@ def _cmd_field(args) -> None:
     if args.format == "svg":
         _emit(_svg_field(grid), args.output)
     else:
-        _emit(export_grid(grid, args.format), args.output)
+        _emit(export_pieces(grid, args.format), args.output)
 
 
 def _cmd_oracle(args) -> None:

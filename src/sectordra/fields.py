@@ -85,13 +85,13 @@ CSV_COLUMNS = (
 # the FieldSample and FieldGrid attributes, and their JSON keys
 _FIELDS = ("E_r", "E_phi", "E_z", "H_r", "H_phi", "H_z")
 _COMPONENT_NAMES = ("Er", "Ephi", "Ez", "Hr", "Hphi", "Hz")
-# nodes per grid (n_r * n_phi * n_z). At 64^3 on a 2-vCPU VM, with 95 MB of
-# process peak after sampling, a derived TE m = 1 grid's first export: CSV
-# 0.06 s and 159 MB peak at p = 0, 0.46 s and 195 MB at p = 1; JSON 0.025 s
-# and 107 MB at p = 0, 0.32 s and 134 MB at p = 1. The second export reuses
-# the grid's texts: JSON after CSV takes 0.012-0.017 s, CSV after JSON
-# 0.044 s at p = 0 and 0.18 s at p = 1. A load takes 0.03-0.04 s at p = 0
-# and 0.26 s at p = 1
+# nodes per grid (n_r * n_phi * n_z). At 64^3 on a 2-vCPU VM a derived TE
+# m = 1 grid peaks at 95 MB of process RSS once sampled, and `sectordra field
+# --output`, which writes the pieces as they come, at 95 MB at p = 0 and
+# 101-109 MB at p = 1. A first export_grid string takes CSV 0.07-0.10 s at
+# p = 0 and 0.57-0.73 s at p = 1, JSON 0.03-0.04 s and 0.35 s, and peaks at
+# 107-195 MB; a second reuses the grid's texts (0.014-0.23 s). A load takes
+# 0.05-0.07 s at p = 0 and 0.26-0.35 s at p = 1
 _MAX_NODES = 2**18
 
 
@@ -251,7 +251,8 @@ class FieldGrid:
     read-only copy of each of its nine arrays (complex for the components),
     so writing an element raises ValueError, and a change to an array it
     was built from does not reach it. Its export number texts are made once,
-    on its first export.
+    on its first export. Building any grid, a copy or a load too, checks its
+    amplitude, that its axes are 1-D and its components of its shape.
     """
 
     geometry: SectorGeometry
@@ -268,9 +269,15 @@ class FieldGrid:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
+        check_real(self.amplitude, "amplitude")
         for name in ("r", "phi", "z", *_FIELDS):
-            dtype = complex if name in _FIELDS else None
-            values = np.array(getattr(self, name), dtype=dtype)
+            component = name in _FIELDS
+            values = np.array(getattr(self, name), dtype=complex if component else None)
+            if not component and values.ndim != 1:
+                raise ValueError(f"field grid axis {name} must be 1-D, got shape {values.shape}")
+            if component and values.shape != self.shape:  # the axes are set by now
+                raise ValueError(f"field grid component {name} has shape {values.shape}, "
+                                 "but the axes hold {}, {} and {} values".format(*self.shape))
             values.flags.writeable = False
             object.__setattr__(self, name, values)  # the dataclass is frozen
 
@@ -515,14 +522,14 @@ _CSV_ROW = [None, None, *[",", None] * 12, "\n"]
 _CSV_WIDTH = len(_CSV_ROW)
 
 
-def _csv_rows(template: list, columns, z_texts: list[str]) -> list[str]:
+def _csv_rows(template: list, columns, z_texts: list[str]):
     """The CSV text, rows ended by "\\n", of each z-plane of a run of planes
     that share their 12 component column texts. `template` is the rows of
     one plane, each laid out as `_CSV_ROW` with its "r,phi," text in place:
     the columns fill its part slots by slice assignment. A single plane
     fills its z slot too and is one join. A longer run joins the rows once
     with a mark in the z slots and splits the text there: each plane is
-    those pieces joined by its z value."""
+    those pieces joined by its z value, as it is asked for."""
     for k, column in enumerate(columns):
         template[3 + 2 * k::_CSV_WIDTH] = column
     rows = len(template) // _CSV_WIDTH
@@ -531,7 +538,7 @@ def _csv_rows(template: list, columns, z_texts: list[str]) -> list[str]:
         return ["".join(template)]
     template[1::_CSV_WIDTH] = ["\0"] * rows  # a mark that no number's text holds
     pieces = "".join(template).split("\0")
-    return [z.join(pieces) for z in z_texts]
+    return (z.join(pieces) for z in z_texts)
 
 
 def export_grid(grid: FieldGrid, format: str) -> str:
@@ -553,12 +560,17 @@ def export_grid(grid: FieldGrid, format: str) -> str:
     its column once per run of planes that share it and fills the columns
     into one row template per export, so each plane is one join of that
     template, and a run of planes whose parts all repeat joins its rows
-    once and each further plane is one join of its z value. Either document
-    is one join of its pieces: the CSV's planes, and the JSON's head,
-    array leads and plane texts, so no part of it is copied twice.
+    once and each further plane is one join of its z value. The document
+    is the join of `export_pieces`, which the CLI writes as they come.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    return "".join(export_pieces(grid, format))
+
+
+def export_pieces(grid: FieldGrid, format: str):
+    """`export_grid`'s 'csv' or 'json' document as its texts in order (the CSV's
+    planes, the JSON's head, array leads and planes), each made when asked."""
     texts = grid._export_texts
     if format == "csv":
         # the (r, phi) text of a row is the same in every z-plane: join it
@@ -567,7 +579,7 @@ def export_grid(grid: FieldGrid, format: str) -> str:
         template = _CSV_ROW * (len(r_text) * len(grid.phi))
         template[::_CSV_WIDTH] = [f"{r},{phi}," for phi in map(repr, grid.phi.tolist())
                                   for r in r_text]
-        lines = [",".join(CSV_COLUMNS) + "\n"]
+        yield ",".join(CSV_COLUMNS) + "\n"
         z_texts = list(map(repr, grid.z.tolist()))
         # a run of planes starts at each plane with a part whose text is
         # not the one of the plane before
@@ -579,9 +591,8 @@ def export_grid(grid: FieldGrid, format: str) -> str:
             columns = [columns[k] if start and part[start] is part[start - 1]
                        else _csv_column(part[start])
                        for k, part in enumerate(texts)]
-            lines.extend(_csv_rows(template, columns, z_texts[start:stop]))
-        del template, columns  # not held while the document is joined
-        return "".join(lines)
+            yield from _csv_rows(template, columns, z_texts[start:stop])
+        return
     mode = grid.mode
     head = json.dumps({
         "geometry": {
@@ -607,14 +618,13 @@ def export_grid(grid: FieldGrid, format: str) -> str:
     })
     # the components go last, as json.dumps(doc) would place them, in the
     # layout `_read_export` reads back, flat and z-major to match the CSV (an
-    # empty plane has no items); the one join copies each plane's text into
-    # the document
-    pieces = [head[:-1], _HEAD_END]
+    # empty plane has no items)
+    lead = head[:-1] + _HEAD_END
     for name, real, imag in zip(_COMPONENT_NAMES, texts[::2], texts[1::2]):
-        pieces += [f'"{name}": {{"re": [', *_separated(real),
-                   '], "im": [', *_separated(imag), "]}", ", "]
-    pieces[-1] = "}}"  # close "components" and the document
-    return "".join(pieces)
+        yield from [f'{lead}"{name}": {{"re": [', *_separated(real),
+                    '], "im": [', *_separated(imag)]
+        lead = "]}, "
+    yield "]}}}"  # close the last component, "components" and the document
 
 
 def load_grid_json(doc: str) -> FieldGrid:
@@ -627,13 +637,12 @@ def load_grid_json(doc: str) -> FieldGrid:
     phi-rows that mirror no other (one of each mirror pair of a derived
     m >= 1 `sample_grid`), by comparing their texts; the document's mode
     decides nothing. json.loads reads any other document whole. Either way
-    the grid is the one json.loads would give. A
-    document that is not an object, lacks a key, holds a non-numeric or
-    boolean geometry or mode number, an amplitude that is not a positive
-    finite number, axes that do not match its shape, or a component "re" or
-    "im" array of another length than n_r * n_phi * n_z or with an item that
-    is not a number (null, a string), raises ValueError. Booleans in such an
-    array load as 1.0 and 0.0, as float() reads them.
+    the grid is the one json.loads would give. A document that is not an
+    object, lacks a key, holds a component "re" or "im" array of another
+    length than n_r * n_phi * n_z or with an item that is not a number
+    (null, a string), or a geometry, mode or grid that its constructor
+    refuses (a boolean mode number, axes that do not match the shape),
+    raises ValueError. Booleans in such an array load as 1.0 and 0.0.
     """
     data = _read_export(doc) if isinstance(doc, str) else None
     if data is None:
@@ -788,13 +797,9 @@ def _grid_from_document(data: dict) -> FieldGrid:
     md = data["mode"]
     mode = ModeSpec(family=ModeFamily(md["family"]), v=md["v"], n=md["n"],
                     p=md["p"], m=md["m"])
-    amplitude = check_real(data["amplitude"], "amplitude")
     n_r, n_phi, n_z = data["shape"]
     r, phi, z = (np.array(data["axes"][key], dtype=float)
                  for key in ("r_m", "phi_rad", "z_m"))
-    if (len(r), len(phi), len(z)) != (n_r, n_phi, n_z):
-        raise ValueError(f"field grid axes hold {len(r)}, {len(phi)} and "
-                         f"{len(z)} values, but the shape is {data['shape']}")
     arrays = []
     for name in _COMPONENT_NAMES:
         comp = data["components"][name]
@@ -819,4 +824,4 @@ def _grid_from_document(data: dict) -> FieldGrid:
             comp = np.empty(n_r * n_phi * n_z, dtype=complex)
             comp.real, comp.imag = parts
         arrays.append(comp.reshape(n_z, n_phi, n_r).transpose(2, 1, 0))
-    return FieldGrid(geom, mode, r, phi, z, *arrays, amplitude=amplitude)
+    return FieldGrid(geom, mode, r, phi, z, *arrays, amplitude=data["amplitude"])

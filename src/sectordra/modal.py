@@ -157,13 +157,6 @@ class Wavenumbers:
     k_z: float
     k: float
 
-    @classmethod
-    def compose(cls, k_r: float, k_phi: float, k_z: float) -> "Wavenumbers":
-        if min(k_r, k_phi, k_z) < 0.0:
-            raise ValueError("wavenumber components must be >= 0")
-        k = math.sqrt(k_r * k_r + k_phi * k_phi + k_z * k_z)
-        return cls(k_r=k_r, k_phi=k_phi, k_z=k_z, k=k)
-
 
 @lru_cache(maxsize=4096)
 def _zero(v: float, n: int) -> float:
@@ -193,12 +186,12 @@ def wavenumbers(geom: SectorGeometry, mode: ModeSpec) -> Wavenumbers:
     k_r = _zero(mode.v, mode.n) / geom.a
     k_phi = mode.v / geom.a
     k_z = mode.p * math.pi / geom.h
-    wn = Wavenumbers.compose(k_r, k_phi, k_z)
-    if not (math.isfinite(wn.k) and k_r * k_r >= sys.float_info.min):
+    k = math.sqrt(k_r * k_r + k_phi * k_phi + k_z * k_z)
+    if not (math.isfinite(k) and k_r * k_r >= sys.float_info.min):
         raise ValueError(
             f"wavenumbers of v={mode.v}, n={mode.n}, p={mode.p} on radius "
             f"{geom.a} m and height {geom.h} m are out of floating-point range")
-    return wn
+    return Wavenumbers(k_r=k_r, k_phi=k_phi, k_z=k_z, k=k)
 
 
 def resonant_frequency(geom: SectorGeometry, mode: ModeSpec) -> float:

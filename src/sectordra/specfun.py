@@ -38,13 +38,20 @@ _MAX_SCAN = 1 << 20
 
 
 def _arrays(v, x) -> tuple[np.ndarray, np.ndarray]:
-    """v and x as float arrays; any element that is negative or not finite
-    raises ValueError."""
-    v, x = np.asarray(v, dtype=float), np.asarray(x, dtype=float)
+    """v and x as float arrays. Only int and float scalars and arrays are
+    taken: float conversion reads a bool or a numeric string as a number
+    and fails on a complex value, so those, None and other objects raise
+    ValueError, as does any element that is negative or not finite."""
+    arrays = []
     for name, value in (("order", v), ("argument", x)):
-        if not ((value >= 0.0) & (value < math.inf)).all():
-            raise ValueError(f"bessel {name} must be finite and >= 0, got {value}")
-    return v, x
+        values = np.asarray(value)
+        if values.dtype.kind not in "iuf":
+            raise ValueError(f"bessel {name} must be a number, got {value!r}")
+        values = values.astype(float, copy=False)
+        if not ((values >= 0.0) & (values < math.inf)).all():
+            raise ValueError(f"bessel {name} must be finite and >= 0, got {values}")
+        arrays.append(values)
+    return tuple(arrays)
 
 
 def _result(values: np.ndarray):
@@ -67,7 +74,9 @@ def bessel_j(v, x):
         orders (4.4e-13 measured at v = 1e5).
 
     Raises:
-        ValueError: if any element has v < 0 or x < 0, or is not finite.
+        ValueError: if v or x is not int or float (a bool, a string, a
+            complex value), or any element has v < 0 or x < 0, or is not
+            finite.
     """
     v, x = _arrays(v, x)
     return _result(np.where(x == 0.0, v == 0.0, jv(v, x)))

@@ -6,6 +6,7 @@ or a number outside the argument's range raises ValueError naming the
 argument and the value.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -24,6 +25,8 @@ from sectordra import (
     TissueGrid,
     averaged_sar,
     azimuthal_order,
+    bessel_j,
+    bessel_j_prime,
     bessel_zero,
     boundary_residuals,
     compare_modes,
@@ -53,6 +56,7 @@ ONES = np.ones((4, 4, 4))
 TISSUE = TissueGrid(0.003, ONES, 1000.0 * ONES, ONES)  # 1.7 g
 LIMIT = limit_lookup("ieee", "1g")
 FD16 = FDProblem(1.0, QUARTER, 16, 16)
+GRID = sample_grid(GEOM, TE210, 3, 3, 1)
 
 
 def _tissue_json(**scalars):
@@ -75,6 +79,11 @@ def _field_json(amplitude):
 # (name in the message, call taking the value, a good value, a number out
 # of range). ModeSpec's own m may be None; test_modal checks it.
 CASES = {
+    "bessel_j v": ("bessel order", lambda x: bessel_j(x, 2.0), 1.5, -1.0),
+    "bessel_j x": ("bessel argument", lambda x: bessel_j(1.5, x), 0, -2.0),
+    "bessel_j_prime v": ("bessel order", lambda x: bessel_j_prime(x, 2.0), 1, -0.5),
+    "bessel_j_prime x": ("bessel argument", lambda x: bessel_j_prime(1.5, x), 2.0,
+                         -1.0),
     "bessel_zero v": ("bessel order", lambda x: bessel_zero(x, 1), 1.5, -1.0),
     "bessel_zero n": ("zero index", lambda x: bessel_zero(1.5, x), 2, 0),
     "azimuthal_order m": ("azimuthal index", lambda x: azimuthal_order(x, 1.0), 2, -1),
@@ -137,6 +146,8 @@ CASES = {
         GEOM, TE210, 3, 3, 1, amplitude=x), 2, -1.0),
     "boundary_residuals resolution": ("resolution", lambda x: boundary_residuals(
         GEOM, TE210, x), 8, 7),
+    "FieldGrid amplitude": ("amplitude", lambda x: dataclasses.replace(
+        GRID, amplitude=x), 1.0, 0.0),
     "load_grid_json amplitude": ("amplitude", lambda x: load_grid_json(_field_json(x)),
                                  0.5, 0.0),
     "FDProblem a": ("radius", lambda x: FDProblem(x, QUARTER, 16, 16), 1, -1.0),
@@ -200,3 +211,15 @@ def test_every_argument_refuses_what_is_not_a_valid_number(case):
         with pytest.raises(ValueError, match=rf"^{re.escape(what)} must be "
                                              rf".+, got {re.escape(shown)}$"):
             call(value)
+
+
+# bessel_j(True, "2") was J_1(2), and a complex value raised TypeError
+@pytest.mark.parametrize("call", (bessel_j, bessel_j_prime))
+@pytest.mark.parametrize("bad", (True, np.array([[True, False]]), "2",
+                                 np.array(["1", "2"]), np.array(2.0, dtype=object),
+                                 np.array([1.0, None]), 1 + 0j,
+                                 np.array([[1.0 + 2.0j]])))
+def test_bessel_functions_refuse_what_is_not_a_real_array(call, bad):
+    for what, args in (("order", (bad, 2.0)), ("argument", (1.0, bad))):
+        with pytest.raises(ValueError, match=f"^bessel {what} must be a number, got "):
+            call(*args)

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,29 @@ def test_field_is_thin_adapter(capsys, table1):
     assert code == 0 and out == export_grid(grid, "csv")
     code, out, _ = run(capsys, *args, "--format", "json")
     assert code == 0 and out == export_grid(grid, "json")
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize("p", (0, 1))
+def test_field_output_is_written_as_it_is_made(tmp_path, table1, fmt, p):
+    # the file takes the export's texts one at a time, so the traced peak of
+    # the command, sampling included, stays near the grid's texts: joining
+    # the document before writing it peaked at 2.7-3.3 times the document
+    path = tmp_path / f"field.{fmt}"
+    mode = f"TE:m=1,n=1,p={p}"
+    tracemalloc.start()
+    try:
+        code = main(["field", *G, "--mode", mode, "--n-r", "33", "--n-phi", "33",
+                     "--n-z", "33", "--format", fmt, "--output", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    doc = path.read_text(encoding="utf-8")
+    grid = sample_grid(table1, ModeSpec.derived(ModeFamily.TE, 1, 1, p, table1.phi0),
+                       33, 33, 33)
+    assert doc == export_grid(grid, fmt)
+    assert peak <= 1.75 * len(doc)
 
 
 def test_field_svg(capsys):

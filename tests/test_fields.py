@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import pickle
+import re
 import time
 import tracemalloc
 import types
@@ -877,6 +878,22 @@ def test_replaced_grid_formats_its_own_components(table1):
     assert "_export_texts" not in vars(dataclasses.replace(grid))
     _assert_exports_match_references(copy)
     assert export_grid(copy, "json") != export_grid(grid, "json")
+
+
+def test_grid_refuses_components_that_do_not_match_its_axes(table1):
+    # each of these built: its CSV export raised IndexError, or its JSON
+    # export wrote a document that load_grid_json refused
+    grid = sample_grid(table1, _mode(2.0), 5, 4, 3)
+    with pytest.raises(ValueError, match=r"^field grid component E_r has shape "
+                                         r"\(2, 2, 2\), but the axes hold 5, 4 and 3 values$"):
+        dataclasses.replace(grid, E_r=np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match=r"^field grid component E_r has shape "
+                                         r"\(5, 4, 3\), but the axes hold 6, 4 and 3 values$"):
+        dataclasses.replace(grid, r=np.linspace(0.0, table1.a, 6))
+    for axis in (grid.phi.reshape(2, 2), 0.0):
+        with pytest.raises(ValueError, match=r"^field grid axis phi must be 1-D, got "
+                                             rf"shape {re.escape(str(np.shape(axis)))}$"):
+            dataclasses.replace(grid, phi=axis)
 
 
 @pytest.mark.parametrize("fmt, p, bound", (("json", 0, 1.1), ("json", 1, 1.1),
