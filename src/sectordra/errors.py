@@ -1,13 +1,16 @@
-"""Shared exception types, the argument checks and the JSON reader.
+"""Shared exception types, the argument checks and the JSON readers.
 
-`check_real` and `check_index` decide every scalar and integer argument of
-the package: each refuses a bool, a string, None, a NaN, an infinity and a
-number out of range with one ValueError wording naming the argument."""
+`check_real`, `check_index` and `check_array` decide every scalar, integer
+and real array argument: each refuses a bool, a string, None, a NaN, an
+infinity and a number out of range with one ValueError wording naming it."""
 
+import array
 import json
 import math
 import numbers
 import sys
+
+import numpy as np
 
 _MAX = sys.float_info.max
 
@@ -65,6 +68,26 @@ def check_real(value, what: str, low: float = 0.0, high: float = math.inf, *,
     raise ValueError(f"{what} must be {rule}, got {_shown(value)}")
 
 
+def check_array(values, what: str, low: float = 0.0, high: float = math.inf, *,
+                closed: bool = False) -> np.ndarray:
+    """`check_real` of each element of `values`, an int or float scalar or
+    array: a read-only float64 copy where all pass; ValueError naming `what`
+    and a value that is not a number (a bool, a string, None, an object or
+    a complex value) or the first element that fails otherwise. A scalar is
+    read as float() of it, once `check_real` has passed it."""
+    if isinstance(values, numbers.Real) and not isinstance(values, bool):
+        values = float(check_real(values, what, low, high, closed=closed))
+    out = np.array(values)
+    if out.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be a number, got {_shown(values)}")
+    out = out.astype(float, copy=False)
+    passed = (out >= low if closed else out > low) & (out <= min(high, _MAX))
+    if not passed.all():
+        check_real(float(out[~passed][0]), what, low, high, closed=closed)
+    out.flags.writeable = False
+    return out
+
+
 def check_index(value, what: str, least: int) -> int:
     """int(value) when `is_index(value, least)`; ValueError naming `what`
     and the value otherwise."""
@@ -85,3 +108,15 @@ def json_object(text: str, what: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object")
     return data
+
+
+def json_numbers(items, text) -> np.ndarray:
+    """`items`, an array of the JSON document `text`, as float64; TypeError
+    at an item that is not a number. array("d") raises it at a string, a
+    null or a nested array, which numpy's float conversion would read, but
+    reads true and false as 1.0 and 0.0: those are looked for item by item
+    where `text` may hold one (a t or an f, which no number's text holds)."""
+    if (not isinstance(text, str) or "t" in text or "f" in text) and any(
+            item is True or item is False for item in items):
+        raise TypeError("must be real number, not bool")
+    return np.frombuffer(array.array("d", items))

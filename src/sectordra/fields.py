@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_index, check_real, json_object
+from .errors import check_array, check_index, check_real, json_numbers, json_object
 from .modal import (
     MU_0,
     ModeFamily,
@@ -252,7 +252,7 @@ class FieldGrid:
     so writing an element raises ValueError, and a change to an array it
     was built from does not reach it. Its export number texts are made once,
     on its first export. Building any grid, a copy or a load too, checks its
-    amplitude, that its axes are 1-D and its components of its shape.
+    amplitude, 1-D `check_array` axes >= 0 and number components of its shape.
     """
 
     geometry: SectorGeometry
@@ -271,8 +271,11 @@ class FieldGrid:
     def __post_init__(self) -> None:
         check_real(self.amplitude, "amplitude")
         for name in ("r", "phi", "z", *_FIELDS):
-            component = name in _FIELDS
-            values = np.array(getattr(self, name), dtype=complex if component else None)
+            value, component = getattr(self, name), name in _FIELDS
+            if component and np.asarray(value).dtype.kind not in "iufc":
+                raise ValueError(f"field grid component {name} must be a number, got {value!r}")
+            values = (np.array(value, dtype=complex) if component
+                      else check_array(value, f"field grid axis {name}", closed=True))
             if not component and values.ndim != 1:
                 raise ValueError(f"field grid axis {name} must be 1-D, got shape {values.shape}")
             if component and values.shape != self.shape:  # the axes are set by now
@@ -639,16 +642,16 @@ def load_grid_json(doc: str) -> FieldGrid:
     decides nothing. json.loads reads any other document whole. Either way
     the grid is the one json.loads would give. A document that is not an
     object, lacks a key, holds a component "re" or "im" array of another
-    length than n_r * n_phi * n_z or with an item that is not a number
-    (null, a string), or a geometry, mode or grid that its constructor
-    refuses (a boolean mode number, axes that do not match the shape),
-    raises ValueError. Booleans in such an array load as 1.0 and 0.0.
+    length than n_r * n_phi * n_z, a component or axis array with an item
+    that is not a number (null, a string, a boolean), or a geometry, mode
+    or grid that its constructor refuses (a boolean mode number, axes that
+    do not match the shape), raises ValueError.
     """
     data = _read_export(doc) if isinstance(doc, str) else None
     if data is None:
         data = json_object(doc, "field grid document")
     try:
-        return _grid_from_document(data)
+        return _grid_from_document(data, doc)
     except KeyError as exc:
         raise ValueError(f"field grid document is missing key {exc}") from None
     except (TypeError, OverflowError) as exc:
@@ -790,7 +793,7 @@ def _refuse_integer(text: str):
     raise ValueError(f"integer item {text}")
 
 
-def _grid_from_document(data: dict) -> FieldGrid:
+def _grid_from_document(data: dict, doc) -> FieldGrid:
     geo = data["geometry"]
     geom = SectorGeometry(a=geo["radius_m"], h=geo["height_m"],
                           phi0=geo["sector_rad"], eps_r=geo["eps_r"])
@@ -798,8 +801,7 @@ def _grid_from_document(data: dict) -> FieldGrid:
     mode = ModeSpec(family=ModeFamily(md["family"]), v=md["v"], n=md["n"],
                     p=md["p"], m=md["m"])
     n_r, n_phi, n_z = data["shape"]
-    r, phi, z = (np.array(data["axes"][key], dtype=float)
-                 for key in ("r_m", "phi_rad", "z_m"))
+    r, phi, z = (json_numbers(data["axes"][key], doc) for key in ("r_m", "phi_rad", "z_m"))
     arrays = []
     for name in _COMPONENT_NAMES:
         comp = data["components"][name]
@@ -808,10 +810,7 @@ def _grid_from_document(data: dict) -> FieldGrid:
             for key in ("re", "im"):
                 part = comp[key]
                 if isinstance(part, list):
-                    # array("d") takes the JSON numbers and booleans, and
-                    # raises TypeError at a null or a string, which numpy's
-                    # float conversion would read as nan or as the number
-                    part = np.frombuffer(array.array("d", part))
+                    part = json_numbers(part, doc)
                 # numpy would broadcast [0.5] or 7; the length is checked
                 # before a component of the document's shape is allocated
                 part = np.asarray(part, dtype=float)

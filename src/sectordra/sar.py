@@ -23,14 +23,13 @@ problem outside this model's scope.
 
 from __future__ import annotations
 
-import array
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_real, is_index, json_object
+from .errors import check_array, check_real, is_index, json_numbers, json_object
 
 __all__ = [
     "SarStandard",
@@ -155,14 +154,14 @@ class TissueGrid:
     Arrays share one (nx, ny, nz) shape of at most 2**18 voxels (64^3);
     e_mag is the field magnitude obtained at reference input power p_in_w.
     Linear voxel indices are x-major, matching the file format. The grid
-    holds a read-only copy of each array, so an array it was built from
-    can change without reaching it. voxel_m is at most 1e100.
+    holds a read-only `check_array` copy of each array, so an array it was
+    built from can change without reaching it. voxel_m is at most 1e100.
     """
 
     def __init__(self, voxel_m: float, sigma, rho, e_mag, p_in_w: float = 1.0):
-        sigma = np.array(sigma, dtype=float)
-        rho = np.array(rho, dtype=float)
-        e_mag = np.array(e_mag, dtype=float)
+        sigma = check_array(sigma, "conductivity", closed=True)
+        rho = check_array(rho, "mass density")
+        e_mag = check_array(e_mag, "field magnitude", closed=True)
         if not (sigma.shape == rho.shape == e_mag.shape) or sigma.ndim != 3:
             raise ValueError(
                 f"sigma, rho, e_mag must share one 3-D shape, got "
@@ -170,17 +169,6 @@ class TissueGrid:
         _check_size(sigma.shape)
         check_real(voxel_m, "voxel edge", high=1e100)
         check_real(p_in_w, "reference power")
-        for name, arr in (("conductivity", sigma), ("mass density", rho),
-                          ("field magnitude", e_mag)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite everywhere")
-            arr.flags.writeable = False
-        if np.any(sigma < 0.0):
-            raise ValueError("conductivity must be >= 0 everywhere")
-        if np.any(rho <= 0.0):
-            raise ValueError("mass density must be positive everywhere")
-        if np.any(e_mag < 0.0):
-            raise ValueError("field magnitude must be >= 0 everywhere")
         self.voxel_m = float(voxel_m)
         self.sigma = sigma
         self.rho = rho
@@ -344,18 +332,14 @@ def _shape(entries) -> tuple[int, int, int]:
 
 def tissue_grid_from_json(text: str) -> TissueGrid:
     """Parse the JSON tissue file: header keys shape, voxel_m, p_in_w and
-    flat sigma/rho/e_mag arrays of numbers in x-major order. Booleans in an
-    array load as 1.0 and 0.0, as the field grid loader reads them; a
-    string, null, nested array or bare number raises ValueError."""
+    flat sigma/rho/e_mag arrays of numbers in x-major order. An array that
+    holds a boolean, a string, a null or a nested array, or a bare number
+    in place of one, raises ValueError, as in the field grid loader."""
     data = json_object(text, "tissue grid document")
     try:
         shape = _shape(data["shape"])
         voxel, p_in = data["voxel_m"], data["p_in_w"]
-        # array("d") takes the JSON numbers and booleans, and raises
-        # TypeError at anything else, which numpy's float conversion would
-        # read as a number, a nan or a nested array
-        arrays = {k: np.frombuffer(array.array("d", data[k]))
-                  for k in ("sigma", "rho", "e_mag")}
+        arrays = {k: json_numbers(data[k], text) for k in ("sigma", "rho", "e_mag")}
     except KeyError as exc:
         raise ValueError(f"tissue grid document is missing key {exc}") from None
     except (TypeError, OverflowError) as exc:

@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy.special import jv, jvp
 
-from .errors import ConvergenceError, check_index, check_real
+from .errors import ConvergenceError, check_array, check_index, check_real
 
 __all__ = ["bessel_j", "bessel_j_prime", "bessel_zero", "ConvergenceError"]
 
@@ -38,20 +38,9 @@ _MAX_SCAN = 1 << 20
 
 
 def _arrays(v, x) -> tuple[np.ndarray, np.ndarray]:
-    """v and x as float arrays. Only int and float scalars and arrays are
-    taken: float conversion reads a bool or a numeric string as a number
-    and fails on a complex value, so those, None and other objects raise
-    ValueError, as does any element that is negative or not finite."""
-    arrays = []
-    for name, value in (("order", v), ("argument", x)):
-        values = np.asarray(value)
-        if values.dtype.kind not in "iuf":
-            raise ValueError(f"bessel {name} must be a number, got {value!r}")
-        values = values.astype(float, copy=False)
-        if not ((values >= 0.0) & (values < math.inf)).all():
-            raise ValueError(f"bessel {name} must be finite and >= 0, got {values}")
-        arrays.append(values)
-    return tuple(arrays)
+    """v and x as float arrays by `check_array`, each element >= 0."""
+    return (check_array(v, "bessel order", closed=True),
+            check_array(x, "bessel argument", closed=True))
 
 
 def _result(values: np.ndarray):

@@ -233,6 +233,14 @@ def compare_targets_grid(geom, count: int) -> list[tuple[float, int, int]]:
         for m in span for n in span)[:count]
 
 
+def _numbers(items, name):
+    # numpy would read null as nan, a string as its number and a bool, which
+    # is an int, as 1.0 or 0.0
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in items):
+        raise ValueError(f"{name} holds an item that is not a number")
+    return items
+
+
 def load_grid_json_reference(doc):
     """The field grid loader that ran json.loads over the whole document:
     the reference that `sectordra.load_grid_json` must match on every
@@ -250,7 +258,7 @@ def load_grid_json_reference(doc):
         mode = ModeSpec(family=ModeFamily(md["family"]), v=md["v"],
                         n=md["n"], p=md["p"], m=md["m"])
         n_r, n_phi, n_z = data["shape"]
-        r, phi, z = (np.array(data["axes"][key], dtype=float)
+        r, phi, z = (np.array(_numbers(data["axes"][key], key), dtype=float)
                      for key in ("r_m", "phi_rad", "z_m"))
         if (len(r), len(phi), len(z)) != (n_r, n_phi, n_z):
             raise ValueError("axes do not match the shape")
@@ -262,11 +270,7 @@ def load_grid_json_reference(doc):
                 raise ValueError(f"{name} holds the wrong number of values")
             flat = np.empty(size, dtype=complex)
             for half, key in (("real", "re"), ("imag", "im")):
-                # numpy would read null as nan and a string as its number;
-                # a bool is an int, and loads as 1.0 or 0.0
-                if not all(isinstance(x, (int, float)) for x in comp[key]):
-                    raise ValueError(f"{name} holds an item that is not a number")
-                setattr(flat, half, comp[key])
+                setattr(flat, half, _numbers(comp[key], name))
             arrays.append(flat.reshape(n_z, n_phi, n_r).transpose(2, 1, 0))
         return FieldGrid(geom, mode, r, phi, z, *arrays,
                          amplitude=data["amplitude"])

@@ -1,9 +1,10 @@
 """The argument rule of errors.py, entry point by entry point.
 
 Every scalar or integer argument of the package is checked by
-`check_real` or `check_index`: a bool, a string, None, a NaN, an infinity
-or a number outside the argument's range raises ValueError naming the
-argument and the value.
+`check_real` or `check_index`, and every real array argument by
+`check_array`: a bool, a string, None, a NaN, an infinity or a number
+outside the argument's range raises ValueError naming the argument and the
+value, or for an array its first element out of range.
 """
 
 import dataclasses
@@ -223,3 +224,55 @@ def test_bessel_functions_refuse_what_is_not_a_real_array(call, bad):
     for what, args in (("order", (bad, 2.0)), ("argument", (1.0, bad))):
         with pytest.raises(ValueError, match=f"^bessel {what} must be a number, got "):
             call(*args)
+
+
+# (name in the message, call taking the array, a good array, the elements
+# that make an array bad). A field grid component may be complex and hold
+# NaN and inf; the other arrays are real with every element finite and in
+# range, the last element of each tuple being a number out of range
+NOT_REAL = (True, "1", None, 1.0 + 2.0j)
+NOT_FINITE = (math.nan, math.inf, -math.inf)
+ARRAY_CASES = {
+    "bessel_j v": ("bessel order", lambda x: bessel_j(x, 2.0), np.array([0.0, 1.5, 3.0]),
+                   (*NOT_REAL, *NOT_FINITE, -1.0)),
+    "bessel_j x": ("bessel argument", lambda x: bessel_j(1.5, x), np.array([[0.0, 2.0]]),
+                   (*NOT_REAL, *NOT_FINITE, -2.0)),
+    "bessel_j_prime v": ("bessel order", lambda x: bessel_j_prime(x, 2.0),
+                         np.array([1.0, 2.5]), (*NOT_REAL, *NOT_FINITE, -0.5)),
+    "bessel_j_prime x": ("bessel argument", lambda x: bessel_j_prime(1.5, x),
+                         np.array([0.5, 2.0]), (*NOT_REAL, *NOT_FINITE, -1.0)),
+    "TissueGrid sigma": ("conductivity", lambda x: TissueGrid(0.003, x, ONES, ONES),
+                         0.0 * ONES, (*NOT_REAL, *NOT_FINITE, -0.1)),
+    "TissueGrid rho": ("mass density", lambda x: TissueGrid(0.003, ONES, x, ONES),
+                       1000.0 * ONES, (*NOT_REAL, *NOT_FINITE, 0.0)),
+    "TissueGrid e_mag": ("field magnitude", lambda x: TissueGrid(0.003, ONES, ONES, x),
+                         ONES, (*NOT_REAL, *NOT_FINITE, -1.0)),
+    "FieldGrid r": ("field grid axis r", lambda x: dataclasses.replace(GRID, r=x),
+                    GRID.r, (*NOT_REAL, *NOT_FINITE, -0.001)),
+    "FieldGrid phi": ("field grid axis phi", lambda x: dataclasses.replace(GRID, phi=x),
+                      GRID.phi, (*NOT_REAL, *NOT_FINITE, -0.1)),
+    "FieldGrid z": ("field grid axis z", lambda x: dataclasses.replace(GRID, z=x),
+                    GRID.z, (*NOT_REAL, *NOT_FINITE, -1e-3)),
+    "FieldGrid H_z": ("field grid component H_z", lambda x: dataclasses.replace(
+        GRID, H_z=x), GRID.H_z, NOT_REAL[:3]),
+}
+
+
+def _with_last(values, element):
+    """`values` in the dtype numpy gives `element`, with that as its last."""
+    out = values.astype(np.array(element).dtype)
+    out.flat[-1] = element
+    return out
+
+
+@pytest.mark.parametrize("case", ARRAY_CASES)
+def test_every_array_argument_refuses_what_is_not_a_valid_number_array(case):
+    # a string, bool or complex array was read as its numbers by numpy's
+    # float conversion, where TissueGrid and the FieldGrid axes took it;
+    # the axes took NaN and inf too
+    what, call, good, bad_elements = ARRAY_CASES[case]
+    call(good)
+    for element in bad_elements:
+        for bad in (_with_last(np.array(good.flat[-1]), element), _with_last(good, element)):
+            with pytest.raises(ValueError, match=rf"^{re.escape(what)} must be .+, got "):
+                call(bad)

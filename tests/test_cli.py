@@ -312,7 +312,7 @@ def test_sar_rejects_bad_tissue(capsys, tmp_path):
     jpath.write_text(json.dumps(doc))
     code, out, err = run(capsys, "sar", "--tissue", str(jpath), "--mass", "1g")
     assert code == 1 and out == ""
-    assert err.strip() == "field magnitude must be finite everywhere"
+    assert err.strip() == "field magnitude must be >= 0, got nan"
     jpath.write_text("[1, 2]")
     code, out, err = run(capsys, "sar", "--tissue", str(jpath), "--mass", "1g")
     assert code == 1 and out == ""

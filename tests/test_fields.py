@@ -896,6 +896,37 @@ def test_grid_refuses_components_that_do_not_match_its_axes(table1):
             dataclasses.replace(grid, phi=axis)
 
 
+def test_grid_refuses_axes_and_components_that_are_not_numbers(table1):
+    # each of these built: numpy read a string or bool component as its
+    # number, and the axes were kept in whatever dtype numpy gave them
+    grid = sample_grid(table1, _mode(2.0), 3, 3, 1)
+    for axis, rule in ((["a", "b", "c"], "a number, got ['a', 'b', 'c']"),
+                       ([math.nan], ">= 0, got nan"),
+                       ([True, False, True], "a number, got [True, False, True]"),
+                       ([1j, 2, 3], "a number, got [1j, 2, 3]")):
+        with pytest.raises(ValueError, match=f"^field grid axis r must be {re.escape(rule)}$"):
+            dataclasses.replace(grid, r=axis)
+    for component in (np.full(grid.shape, "1"), np.ones(grid.shape, dtype=bool)):
+        with pytest.raises(ValueError, match=r"^field grid component E_r must be a number, "
+                                             r"got array\("):
+            dataclasses.replace(grid, E_r=component)
+
+
+def test_load_grid_json_refuses_booleans(table1):
+    # both loaded, as 1.0: the head, axes included, is read by json.loads on
+    # either path, and a component array with a true or false by json.loads
+    # over the whole document
+    doc = json.loads(export_grid(sample_grid(table1, _mode(2.0), 3, 3, 2), "json"))
+    for section, key in (("axes", "z_m"), ("components", "Hz")):
+        for value in (True, False):
+            bad = json.loads(json.dumps(doc))
+            items = bad[section][key]["re"] if section == "components" else bad[section][key]
+            items[-1] = value
+            with pytest.raises(ValueError, match="^field grid document holds a malformed "
+                                                 "value: must be real number, not bool$"):
+                load_grid_json(json.dumps(bad))
+
+
 @pytest.mark.parametrize("fmt, p, bound", (("json", 0, 1.1), ("json", 1, 1.1),
                                            ("csv", 1, 2.25)))
 def test_export_copies_its_document_once(table1, fmt, p, bound):

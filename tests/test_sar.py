@@ -102,15 +102,16 @@ def test_tissue_grid_validation():
         TissueGrid(0.001, ones, np.ones((2, 2)), ones)
     with pytest.raises(ValueError):  # the voxel volume would overflow
         TissueGrid(1e200, ones, 1000.0 * ones, ones)
-    # NaN slips past a sign test, so non-finite values are checked first
+    # NaN slips past a sign test, so each element must pass the bound
     for bad in (math.nan, math.inf):
         spoiled = ones.copy()
         spoiled[1, 0, 1] = bad
-        with pytest.raises(ValueError, match="conductivity must be finite"):
+        with pytest.raises(ValueError, match=rf"^conductivity must be >= 0, got {bad}$"):
             TissueGrid(0.001, spoiled, 1000.0 * ones, ones)
-        with pytest.raises(ValueError, match="mass density must be finite"):
+        with pytest.raises(ValueError,
+                           match=rf"^mass density must be positive and finite, got {bad}$"):
             TissueGrid(0.001, ones, 1000.0 * spoiled, ones)
-        with pytest.raises(ValueError, match="field magnitude must be finite"):
+        with pytest.raises(ValueError, match=rf"^field magnitude must be >= 0, got {bad}$"):
             TissueGrid(0.001, ones, 1000.0 * ones, spoiled)
 
 
@@ -346,11 +347,16 @@ def test_tissue_json_rejects_non_numbers(key, value):
         tissue_grid_from_json(json.dumps(doc))
 
 
-def test_tissue_json_reads_booleans_as_numbers():
-    # as a field grid's component arrays do
-    doc = _tissue_document(2)
-    doc["sigma"] = [True, False]
-    assert tissue_grid_from_json(json.dumps(doc)).sigma.ravel().tolist() == [1.0, 0.0]
+def test_tissue_json_rejects_booleans():
+    # array("d") read true and false as 1.0 and 0.0, all of them or mixed
+    # with numbers; the field grid loader refuses them too
+    for key, value in (("sigma", [True, False]), ("rho", [1000.0, False]),
+                       ("e_mag", [10.0, True])):
+        doc = _tissue_document(2)
+        doc[key] = value
+        with pytest.raises(ValueError, match="^tissue grid document holds a malformed "
+                                             "value: must be real number, not bool$"):
+            tissue_grid_from_json(json.dumps(doc))
 
 
 def test_tissue_grids_above_the_cap_are_rejected():

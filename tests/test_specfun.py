@@ -122,6 +122,14 @@ def test_argument_validation():
         bessel_zero(-2.0, 1)
 
 
+def test_python_int_orders_are_numbers():
+    # 2**70 is an int numpy stores as an object, and was refused as "not a
+    # number"; float() holds it. An int that no float holds is out of range
+    assert bessel_j(2**70, 1.0) == 0.0
+    with pytest.raises(ValueError, match=r"^bessel order must be >= 0, got 10{400}$"):
+        bessel_j(10**400, 1.0)
+
+
 def test_array_calls_match_scalar_calls():
     xs = np.array([0.0, 1e-6, 0.4, 3.0, 11.9, 25.0, 60.0])
     for v in ORDERS:
